@@ -5,9 +5,7 @@ available), 3 enumeration budget exceeded, 4 audit inconsistency (a result
 that would falsify a guaranteed bound).
 
 Output is deterministic: identical inputs produce byte-identical output in
-every format. --threads is accepted for interface stability; aggregation is
-sequential either way, so the flag never changes output bytes. --seed is
-reserved for randomized generators and currently unused.
+every format.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .lab import (
     DistinctnessError,
@@ -31,7 +30,6 @@ from .rational import RationalParseError, format_rational
 from .sets import (
     DEFAULT_MAX_PAIRS,
     CapExceeded,
-    doubling_ratio,
     image_set,
     productset,
     read_set_file,
@@ -53,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text", "csv"), default="text")
     common.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--seed", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_common(args: argparse.Namespace) -> None:
     if args.max_pairs < 1:
         raise ValueError("--max-pairs must be positive")
-    if args.threads < 1:
-        raise ValueError("--threads must be positive")
 
 
 def _emit_json(payload: dict) -> None:
@@ -203,7 +197,7 @@ def cmd_structure(args: argparse.Namespace) -> int:
     a = read_set_file(args.set_path)
     products = productset(a, a)
     rank = multiplicative_rank(a)
-    doubling = doubling_ratio(a)
+    doubling = Fraction(len(products), len(a))
     payload = {
         "command": "structure",
         "set_size": len(a),

@@ -440,12 +440,13 @@ def expansion_sweep(
             raise ValueError(f"sample sizes must be positive, got {n}")
         a = family.sample(n, max_elements)
         image = image_set(f, a, max_pairs=max_pairs)
+        products = productset(a, a)
         rows.append(
             SweepRow(
                 N=n,
                 set_size=len(a),
-                productset_size=len(productset(a, a)),
-                doubling=doubling_ratio(a),
+                productset_size=len(products),
+                doubling=Fraction(len(products), len(a)),
                 image_size=len(image),
                 ratio=Fraction(len(image), len(a) ** 2),
             )

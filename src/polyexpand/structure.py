@@ -1,140 +1,26 @@
 """Multiplicative structure of rational sets.
 
-Nonzero rationals factor into sign times a prime-exponent vector, so a set
-of them spans an integer lattice whose rank measures how few independent
-generators suffice multiplicatively. This module computes that rank by
-integer row reduction, models geometric-progression boxes
-g1^[H1] * ... * gr^[Hr] with their dilated boxes, solves the 2x2 exponent
-systems that make monomial values determine their arguments, and evaluates
-the explicit unit-equation bound of Amoroso and Viada.
+Nonzero rationals factor into sign times an exponent vector over a
+pairwise-coprime base, so a set of them spans an integer lattice whose rank
+measures how few independent generators suffice multiplicatively. This
+module computes that rank by integer row reduction, models
+geometric-progression boxes g1^[H1] * ... * gr^[Hr] with their dilated
+boxes, solves the 2x2 exponent systems that make monomial values determine
+their arguments, and evaluates the explicit unit-equation bound of Amoroso
+and Viada.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import format_rational, parse_rational
 from .sets import RationalSet, check_budget, make_set
 
-DEFAULT_TRIAL_BOUND = 1_000_000
 DEFAULT_MAX_ELEMENTS = 1_000_000
-
-# Witness set making Miller-Rabin deterministic below 3.317e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for base in _MR_BASES:
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _int_nth_root(n: int, k: int) -> int:
-    """Largest r with r^k <= n."""
-    if k == 1:
-        return n
-    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
-    lo = 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _split_cofactor(n: int) -> dict[int, int]:
-    """Handle a cofactor whose factors all exceed the trial bound.
-
-    Primes pass through, perfect powers are reduced to their base, and any
-    remaining composite is kept whole as an ad-hoc generator.
-    """
-    if _is_probable_prime(n):
-        return {n: 1}
-    for k in range(2, n.bit_length() + 1):
-        root = _int_nth_root(n, k)
-        if root > 1 and root**k == n:
-            return {base: exp * k for base, exp in _split_cofactor(root).items()}
-    return {n: 1}
-
-
-def _factor_positive_int(n: int, trial_bound: int) -> dict[int, int]:
-    """Base -> exponent map for n >= 1 via trial division plus cofactor care."""
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d <= trial_bound and d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        for base, exp in _split_cofactor(n).items():
-            out[base] = out.get(base, 0) + exp
-    return out
-
-
-@dataclass(frozen=True)
-class FactoredElement:
-    """Sign and base -> exponent vector whose product recovers the rational.
-
-    Bases are primes, except for composite cofactors beyond the trial bound
-    that are not perfect powers; those are kept whole as ad-hoc generators.
-    Two such cofactors sharing a hidden prime factor would be treated as
-    independent, so ranks computed from them are only as good as the trial
-    bound.
-    """
-
-    sign: int
-    exponents: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
-
-
-def factorize(q: Fraction, trial_bound: int = DEFAULT_TRIAL_BOUND) -> FactoredElement:
-    """Exact factorization of a nonzero rational into sign * prod(base^exp)."""
-    if q == 0:
-        raise ValueError("0 has no multiplicative factorization")
-    exponents = _factor_positive_int(abs(q.numerator), trial_bound)
-    for base, exp in _factor_positive_int(q.denominator, trial_bound).items():
-        exponents[base] = exponents.get(base, 0) - exp
-    cleaned = tuple(sorted((b, e) for b, e in exponents.items() if e != 0))
-    return FactoredElement(sign=1 if q > 0 else -1, exponents=cleaned)
-
-
-def reconstruct(element: FactoredElement) -> Fraction:
-    """Inverse of factorize."""
-    value = Fraction(element.sign)
-    for base, exp in element.exponents:
-        value *= Fraction(base) ** exp
-    return value
 
 
 def _integer_rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -165,7 +51,52 @@ def _integer_rank(matrix: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def multiplicative_rank(a: RationalSet, trial_bound: int = DEFAULT_TRIAL_BOUND) -> int:
+def _strip(m: int, b: int) -> tuple[int, int]:
+    """(e, m // b^e) for the largest e with b^e dividing m; needs b > 1.
+
+    Divides by b, b^2, b^4, ... while they go, then steps back down, so e
+    costs O(log e) divisions rather than e.
+    """
+    powers = []
+    while m % b == 0:
+        m //= b
+        powers.append(b)
+        b *= b
+    e = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if m % powers[k] == 0:
+            m //= powers[k]
+            e += 1 << k
+    return e, m
+
+
+def _coprime_base(integers: Iterable[int]) -> list[int]:
+    """Pairwise-coprime integers above 1 over which every given integer factors.
+
+    Each integer m is reduced against the base in turn: every base element b
+    is divided out of m as often as it goes. If gcd(m, b) > 1 is still left,
+    b leaves the base, and its two parts gcd and b // gcd go back on the work
+    list together with m. Whatever is left of m above 1 is coprime to the
+    whole base and joins it.
+    """
+    base: list[int] = []
+    work = [m for m in integers if m > 1]
+    while work:
+        m = work.pop()
+        for k, b in enumerate(base):
+            m = _strip(m, b)[1]
+            g = math.gcd(m, b)
+            if g > 1:
+                del base[k]
+                work += (g, b // g, m)
+                break
+        else:
+            if m > 1:
+                base.append(m)
+    return base
+
+
+def multiplicative_rank(a: RationalSet) -> int:
     """Rank of the exponent lattice spanned by a's elements (signs ignored).
 
     {q, q^2, ...} has rank 1, multiplicatively independent elements add
@@ -173,15 +104,13 @@ def multiplicative_rank(a: RationalSet, trial_bound: int = DEFAULT_TRIAL_BOUND) 
     """
     if Fraction(0) in a:
         raise ValueError("0 is not in any multiplicative group; drop it first")
-    factored = [factorize(v, trial_bound) for v in a]
-    bases = sorted({base for el in factored for base, _ in el.exponents})
-    index = {base: k for k, base in enumerate(bases)}
-    rows = []
-    for el in factored:
-        row = [0] * len(bases)
-        for base, exp in el.exponents:
-            row[index[base]] = exp
-        rows.append(row)
+    base = _coprime_base(n for v in a for n in (abs(v.numerator), v.denominator))
+    # Pairwise-coprime integers above 1 are multiplicatively independent, so
+    # the rank over this base is the rank over the primes.
+    rows = [
+        [_strip(abs(v.numerator), b)[0] - _strip(v.denominator, b)[0] for b in base]
+        for v in a
+    ]
     return _integer_rank(rows)
 
 

@@ -74,6 +74,18 @@ def test_structure(capsys, set_file):
     assert "doubling = 5/3" in out
 
 
+def test_structure_rank_sees_hidden_primes(capsys, tmp_path):
+    p, q, r = 1000003, 1000033, 1000037
+    path = tmp_path / "hidden.txt"
+    path.write_text(f"{p * q}\n{p * r}\n{q}/{r}\n", encoding="utf-8")
+    code, out, _ = run_cli(["structure", "--set", str(path)], capsys)
+    assert code == 0
+    assert "rank = 2" in out
+    code, out, _ = run_cli(["structure", "--set", str(path), "--format", "json"], capsys)
+    assert code == 0
+    assert '"rank": 2' in out
+
+
 def test_audit_subsum(capsys, set_file):
     code, out, _ = run_cli(
         ["audit", "--poly", "x*y + x^2*y^3", "--set", set_file], capsys
@@ -235,15 +247,8 @@ def test_json_outputs_are_byte_stable(capsys, set_file):
     assert first == second
 
 
-def test_threads_flag_never_changes_bytes(capsys, set_file):
-    base = ["image", "--poly", "x*y", "--set", set_file, "--format", "json"]
-    _, first, _ = run_cli(base, capsys)
-    _, second, _ = run_cli(base + ["--threads", "4"], capsys)
-    assert first == second
-
-
 def test_bad_common_flags(capsys, set_file):
-    code, _, _ = run_cli(["structure", "--set", set_file, "--threads", "0"], capsys)
+    code, _, _ = run_cli(["structure", "--set", set_file, "--max-pairs", "0"], capsys)
     assert code == 2
     code, _, err = run_cli(
         ["energy", "--poly", "x*y", "--set", set_file, "--format", "csv"], capsys

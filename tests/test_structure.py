@@ -11,66 +11,39 @@ from polyexpand import (
     ParallelVectorsError,
     amoroso_viada_bound,
     distinctness_check,
-    factorize,
     ggp_enumerate,
     ggp_power,
     make_set,
     multiplicative_rank,
     parse_ggp_spec,
     productset,
-    reconstruct,
     solve_exponent_system,
 )
 
 
-def test_factorize_integer():
-    el = factorize(Fraction(12))
-    assert el.sign == 1
-    assert el.as_dict() == {2: 2, 3: 1}
-
-
-def test_factorize_negative_fraction():
-    el = factorize(Fraction(-3, 4))
-    assert el.sign == -1
-    assert el.as_dict() == {2: -2, 3: 1}
-
-
-def test_factorize_one():
-    el = factorize(Fraction(1))
-    assert el.sign == 1
-    assert el.exponents == ()
-
-
-def test_factorize_zero_rejected():
-    with pytest.raises(ValueError):
-        factorize(Fraction(0))
-
-
-def test_factorize_round_trip():
-    rng = random.Random(1009)
-    for _ in range(1000):
-        q = Fraction(rng.randint(-10_000, 10_000), rng.randint(1, 10_000))
-        if q == 0:
+def gauss_rank(matrix):
+    """Rank over the rationals by plain Gaussian elimination."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
             continue
-        assert reconstruct(factorize(q)) == q
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                scale = rows[i][col] / lead
+                rows[i] = [a - scale * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
-def test_factorize_prime_cofactor():
-    p = 10**9 + 7
-    el = factorize(Fraction(p), trial_bound=1000)
-    assert el.as_dict() == {p: 1}
-
-
-def test_factorize_composite_cofactor_kept_whole():
-    p, q = 10**9 + 7, 10**9 + 9
-    el = factorize(Fraction(p * q), trial_bound=1000)
-    assert el.as_dict() == {p * q: 1}
-
-
-def test_factorize_perfect_power_cofactor_is_split():
-    p = 10**9 + 7
-    el = factorize(Fraction(p * p), trial_bound=1000)
-    assert el.as_dict() == {p: 2}
+# Small primes, plus primes above 10^6 that only gcds (not trial division to
+# 10^6) can separate once they sit inside composites.
+PRIME_POOL = (
+    2, 3, 5, 7, 11, 13, 1000003, 1000033, 1000037, 1000039, 10**9 + 7, 10**9 + 9
+)
 
 
 def test_rank_examples():
@@ -110,27 +83,67 @@ def test_rank_invariant_under_self_product():
 def test_rank_with_shared_composite_cofactor():
     c = (10**9 + 7) * (10**9 + 9)
     a = make_set([Fraction(c), Fraction(c) ** 2])
-    assert multiplicative_rank(a, trial_bound=1000) == 1
+    assert multiplicative_rank(a) == 1
+
+
+def test_rank_sees_primes_hidden_in_composites():
+    p, q, r = 1000003, 1000033, 1000037
+    # pq / pr = q / r, so the three elements span a rank-2 lattice
+    assert multiplicative_rank(make_set([p * q, p * r, Fraction(q, r)])) == 2
+
+
+def test_rank_matches_exponent_matrix_over_prime_pool():
+    rng = random.Random(1000003)
+    for _ in range(200):
+        nrows = rng.randint(1, 6)
+        primes = rng.sample(PRIME_POOL, rng.randint(1, 5))
+        matrix = [[rng.randint(-3, 3) for _ in primes] for _ in range(nrows)]
+        elements = []
+        for row in matrix:
+            value = Fraction(rng.choice((-1, 1)))
+            for prime, exp in zip(primes, row):
+                value *= Fraction(prime) ** exp
+            elements.append(value)
+        # duplicate rows collapse in the set; the rank of the distinct ones is the same
+        assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix), matrix
+
+
+def test_coprime_base_is_pairwise_coprime_and_rebuilds_inputs():
+    from polyexpand.structure import _coprime_base, _strip
+
+    rng = random.Random(1000033)
+    for _ in range(200):
+        integers = []
+        for _ in range(rng.randint(0, 6)):
+            n = 1
+            for prime in rng.sample(PRIME_POOL, rng.randint(0, 4)):
+                n *= prime ** rng.randint(1, 5)
+            integers.append(n)
+        base = _coprime_base(integers)
+        assert all(b > 1 for b in base)
+        for i, b in enumerate(base):
+            for c in base[i + 1:]:
+                assert math.gcd(b, c) == 1, (b, c)
+        for n in integers:
+            rebuilt = 1
+            for b in base:
+                rebuilt *= b ** _strip(n, b)[0]
+            assert rebuilt == n, (n, base)
+
+
+def test_strip_counts_exponents():
+    from polyexpand.structure import _strip
+
+    for b in (2, 3, 6, 10**9 + 7):
+        for e in (0, 1, 2, 3, 7, 8, 100, 1000):
+            for cofactor in (1, 5 * 7):
+                if cofactor > 1 and math.gcd(cofactor, b) > 1:
+                    continue
+                assert _strip(cofactor * b**e, b) == (e, cofactor)
 
 
 def test_integer_rank_matches_gauss_oracle():
     from polyexpand.structure import _integer_rank
-
-    def gauss_rank(matrix):
-        rows = [[Fraction(v) for v in row] for row in matrix]
-        rank = 0
-        for col in range(len(rows[0]) if rows else 0):
-            pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            lead = rows[rank][col]
-            for i in range(rank + 1, len(rows)):
-                if rows[i][col] != 0:
-                    scale = rows[i][col] / lead
-                    rows[i] = [a - scale * b for a, b in zip(rows[i], rows[rank])]
-            rank += 1
-        return rank
 
     rng = random.Random(40320)
     for _ in range(300):
