@@ -31,7 +31,7 @@ from .sets import (
     DEFAULT_MAX_PAIRS,
     CapExceeded,
     image_set,
-    productset,
+    productset_size,
     read_set_file,
 )
 from .structure import amoroso_viada_bound, multiplicative_rank, parse_ggp_spec
@@ -195,20 +195,20 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 def cmd_structure(args: argparse.Namespace) -> int:
     a = read_set_file(args.set_path)
-    products = productset(a, a)
+    products = productset_size(a, args.max_pairs)
     rank = multiplicative_rank(a)
-    doubling = Fraction(len(products), len(a))
+    doubling = Fraction(products, len(a))
     payload = {
         "command": "structure",
         "set_size": len(a),
-        "productset_size": len(products),
+        "productset_size": products,
         "doubling": format_rational(doubling),
         "doubling_float": float(doubling),
         "rank": rank,
     }
     lines = [
         f"size = {len(a)}",
-        f"productset = {len(products)}",
+        f"productset = {products}",
         f"doubling = {format_rational(doubling)}",
         f"rank = {rank}",
     ]

@@ -34,13 +34,14 @@ from .rational import format_rational, parse_rational
 from .sets import (
     DEFAULT_MAX_PAIRS,
     RationalSet,
+    _pair_rows,
     check_budget,
     doubling_ratio,
-    image_set,
     make_set,
     multiplicity_histogram,
-    productset,
+    productset_size,
     read_set_file,
+    value_multiplicities,
 )
 from .structure import (
     GGP,
@@ -164,29 +165,6 @@ def _require_non_exceptional(f: BivariatePoly) -> tuple[tuple[int, int], tuple[i
     return witnesses
 
 
-def _iter_pair_term_values(f: BivariatePoly, a: RationalSet):
-    """Yield (x, y, term values at (x, y)) over A x A, reusing power tables."""
-    support = f.support
-    coefficients = [f.terms[pair] for pair in support]
-    max_i = max(i for i, _ in support)
-    max_j = max(j for _, j in support)
-    y_pows = {}
-    for y in a:
-        pows = [Fraction(1)]
-        for _ in range(max_j):
-            pows.append(pows[-1] * y)
-        y_pows[y] = pows
-    for x in a:
-        x_pows = [Fraction(1)]
-        for _ in range(max_i):
-            x_pows.append(x_pows[-1] * x)
-        for y in a:
-            yp = y_pows[y]
-            yield x, y, [
-                c * x_pows[i] * yp[j] for c, (i, j) in zip(coefficients, support)
-            ]
-
-
 def split_solutions(
     f: BivariatePoly,
     a: RationalSet,
@@ -195,15 +173,17 @@ def split_solutions(
 ) -> SolutionSplit:
     """Split the solutions of f(x, y) = value into clean and dirty pairs."""
     _require_multiterm(f)
-    check_budget(len(a) ** 2, max_pairs, "solution split")
+    scale, rows = _pair_rows(f, a, a, max_pairs, "solution split")
+    key = value * scale
     clean = dirty = 0
-    for _, _, values in _iter_pair_term_values(f, a):
-        if sum(values) != value:
-            continue
-        if zero_proper_subset_exists(values):
-            dirty += 1
-        else:
-            clean += 1
+    for columns in rows:
+        for values in zip(*columns):
+            if sum(values) != key:
+                continue
+            if zero_proper_subset_exists(values):
+                dirty += 1
+            else:
+                clean += 1
     return SolutionSplit(value=value, clean=clean, dirty=dirty)
 
 
@@ -232,28 +212,32 @@ def audit_vanishing_subsums(
     falsify a guaranteed bound, i.e. expose a defect in this code.
     """
     _require_non_exceptional(f)
-    check_budget(len(a) ** 2, max_pairs, "subsum audit")
-    table: dict[Fraction, list[int]] = {}
+    # Term values and their sums are ints scaled by the same scale > 0, so
+    # vanishing subsums, equal values and the value order are all exact.
+    scale, rows = _pair_rows(f, a, a, max_pairs, "subsum audit")
+    table: dict[int, list[int]] = {}
     zero_full_sum = 0
-    for _, _, values in _iter_pair_term_values(f, a):
-        total = sum(values)
-        entry = table.setdefault(total, [0, 0])
-        if zero_proper_subset_exists(values):
-            entry[1] += 1
-        else:
-            entry[0] += 1
-            if total == 0:
-                zero_full_sum += 1
+    for columns in rows:
+        for values in zip(*columns):
+            total = sum(values)
+            entry = table.setdefault(total, [0, 0])
+            if zero_proper_subset_exists(values):
+                entry[1] += 1
+            else:
+                entry[0] += 1
+                if total == 0:
+                    zero_full_sum += 1
     degree = f.degree
     support_size = len(f.support)
     dirty_bound = degree * degree * 2**support_size
     tau = dirty_bound if threshold is None else threshold
     splits = tuple(
-        SolutionSplit(value=v, clean=c, dirty=d) for v, (c, d) in sorted(table.items())
+        SolutionSplit(value=Fraction(k, scale), clean=c, dirty=d)
+        for k, (c, d) in sorted(table.items())
     )
     bad = tuple(s.value for s in splits if s.dirty > dirty_bound)
     high = tuple(s.value for s in splits if s.multiplicity > tau)
-    k_floor = max(1, math.floor(doubling_ratio(a)))
+    k_floor = max(1, math.floor(doubling_ratio(a, max_pairs)))
     return AuditReport(
         degree=degree,
         support_size=support_size,
@@ -290,16 +274,21 @@ def audit_injectivity(
             f"products of {g.describe()} dilated by {t} collide; "
             "exponent vectors do not determine values"
         )
-    members = ggp_enumerate(g, 1, max_pairs)
-    check_budget(len(members) ** 2, max_pairs, "injectivity audit")
-    seen: dict[tuple[Fraction, Fraction], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for mu, x in members:
-        for nu, y in members:
-            pair_of_values = (x**i * y**j, x**i2 * y**j2)
-            previous = seen.get(pair_of_values)
-            if previous is not None and previous != (mu, nu):
+    # The box's products are distinct, so each value has one exponent vector.
+    vectors = {x: mu for mu, x in ggp_enumerate(g, 1, max_pairs)}
+    box = make_set(vectors)
+    # The term columns of x^i y^j + x^i' y^j' are the two monomial values,
+    # each times a positive constant: equal int pairs mean equal value pairs.
+    monomials = BivariatePoly({(i, j): 1, (i2, j2): 1})
+    _, rows = _pair_rows(monomials, box, box, max_pairs, "injectivity audit")
+    seen: set[tuple[int, ...]] = set()
+    for x, columns in zip(box, rows):
+        mu = vectors[x]
+        for y, pair_of_values in zip(box, zip(*columns)):
+            if pair_of_values in seen:
                 return False
-            seen[pair_of_values] = (mu, nu)
+            seen.add(pair_of_values)
+            nu = vectors[y]
             t1 = tuple(i * mk + j * nk for mk, nk in zip(mu, nu))
             t2 = tuple(i2 * mk + j2 * nk for mk, nk in zip(mu, nu))
             if solve_exponent_system((i, j), (i2, j2), t1, t2) != (mu, nu):
@@ -312,11 +301,10 @@ def cauchy_schwarz_check(
 ) -> EnergyCheck:
     """Verify energy >= |A|^4 / |f(A,A)| exactly (true for every input)."""
     _require_nonzero(f)
-    histogram = multiplicity_histogram(f, a, max_pairs)
-    e = histogram.energy()
-    image_size = len(histogram.counts)
-    lower = Fraction(len(a) ** 4, image_size)
-    return EnergyCheck(energy=e, image_size=image_size, lower_bound=lower, holds=e >= lower)
+    counts = value_multiplicities(f, a, max_pairs)
+    e = sum(m * m for m in counts)
+    lower = Fraction(len(a) ** 4, len(counts))
+    return EnergyCheck(energy=e, image_size=len(counts), lower_bound=lower, holds=e >= lower)
 
 
 @dataclass(frozen=True)
@@ -334,7 +322,7 @@ class GeometricFamily:
         return f"geometric({format_rational(self.ratio)})"
 
     def sample(self, n: int, max_elements: int) -> RationalSet:
-        check_budget(n, max_elements, "geometric family")
+        check_budget(n, max_elements, "geometric family", "elements")
         powers = []
         value = Fraction(1)
         for _ in range(n):
@@ -374,7 +362,7 @@ class FileFamily:
         if not 1 <= n <= len(self.paths):
             raise ValueError(f"sample index {n} outside 1..{len(self.paths)}")
         a = read_set_file(self.paths[n - 1])
-        check_budget(len(a), max_elements, "file family")
+        check_budget(len(a), max_elements, "file family", "elements")
         return a
 
 
@@ -439,16 +427,16 @@ def expansion_sweep(
         if n < 1:
             raise ValueError(f"sample sizes must be positive, got {n}")
         a = family.sample(n, max_elements)
-        image = image_set(f, a, max_pairs=max_pairs)
-        products = productset(a, a)
+        images = len(value_multiplicities(f, a, max_pairs))
+        products = productset_size(a, max_pairs)
         rows.append(
             SweepRow(
                 N=n,
                 set_size=len(a),
-                productset_size=len(products),
-                doubling=Fraction(len(products), len(a)),
-                image_size=len(image),
-                ratio=Fraction(len(image), len(a) ** 2),
+                productset_size=products,
+                doubling=Fraction(products, len(a)),
+                image_size=images,
+                ratio=Fraction(images, len(a) ** 2),
             )
         )
     exponent = _log_log_slope([(row.set_size, row.image_size) for row in rows])

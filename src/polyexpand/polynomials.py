@@ -21,7 +21,9 @@ of the support.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+import itertools
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -60,14 +62,20 @@ def format_monomial(pair: ExponentPair) -> str:
     return "*".join(factors) if factors else "1"
 
 
-def _format_term(pair: ExponentPair, coefficient: Fraction) -> str:
-    # coefficient is passed unsigned; signs become "+"/"-" separators
-    body = format_monomial(pair)
-    if body == "1":
-        return format_rational(coefficient)
-    if coefficient == 1:
-        return body
-    return f"{format_rational(coefficient)}*{body}"
+def _join_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Render (monomial text, coefficient) pairs as "x^2 - 3/2*y + 1", or "0"."""
+    parts = []
+    for body, coefficient in terms:
+        magnitude = abs(coefficient)
+        if body == "1":
+            term = format_rational(magnitude)
+        else:
+            term = body if magnitude == 1 else f"{format_rational(magnitude)}*{body}"
+        if parts:
+            parts.append(f"- {term}" if coefficient < 0 else f"+ {term}")
+        else:
+            parts.append(f"-{term}" if coefficient < 0 else term)
+    return " ".join(parts) or "0"
 
 
 class BivariatePoly:
@@ -128,10 +136,9 @@ class BivariatePoly:
         """Fix x, leaving an exact univariate polynomial in y."""
         if not self._terms:
             return UnivariatePoly(())
-        xpows = _powers(Fraction(x), max(i for i, _ in self._terms))
         coeffs = [Fraction(0)] * (max(j for _, j in self._terms) + 1)
         for (i, j), coefficient in self._terms.items():
-            coeffs[j] += coefficient * xpows[i]
+            coeffs[j] += coefficient * Fraction(x) ** i
         return UnivariatePoly(coeffs)
 
     def __eq__(self, other: object) -> bool:
@@ -143,16 +150,7 @@ class BivariatePoly:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for index, (pair, coefficient) in enumerate(self._terms.items()):
-            term = _format_term(pair, abs(coefficient))
-            if index == 0:
-                parts.append(term if coefficient > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if coefficient > 0 else f"- {term}")
-        return " ".join(parts)
+        return _join_terms((format_monomial(p), c) for p, c in self._terms.items())
 
     def __repr__(self) -> str:
         return f"BivariatePoly({str(self)!r})"
@@ -194,23 +192,8 @@ class UnivariatePoly:
         return hash(self.coefficients)
 
     def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for power, coefficient in enumerate(self.coefficients):
-            if coefficient == 0:
-                continue
-            if power == 0:
-                body = format_rational(abs(coefficient))
-            else:
-                factor = "t" if power == 1 else f"t^{power}"
-                mag = abs(coefficient)
-                body = factor if mag == 1 else f"{format_rational(mag)}*{factor}"
-            if not parts:
-                parts.append(body if coefficient > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coefficient > 0 else f"- {body}")
-        return " ".join(parts)
+        powers = ("1" if k == 0 else "t" if k == 1 else f"t^{k}" for k in itertools.count())
+        return _join_terms((t, c) for t, c in zip(powers, self.coefficients) if c)
 
     def __repr__(self) -> str:
         return f"UnivariatePoly({str(self)!r})"
@@ -223,13 +206,6 @@ class MonomialDecomposition:
     g: UnivariatePoly
     monomial: ExponentPair
     trivial: bool
-
-
-def _powers(base: Fraction, max_exponent: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(max_exponent):
-        out.append(out[-1] * base)
-    return out
 
 
 class _PolyParser:
@@ -414,40 +390,15 @@ def non_parallel_witnesses(f: BivariatePoly) -> tuple[ExponentPair, ExponentPair
     return None
 
 
-def _require_subsum_support(f: BivariatePoly) -> tuple[ExponentPair, ...]:
-    support = f.support
-    if len(support) < 2:
-        raise ValueError("subsum operations need at least two support terms")
-    if len(support) > MAX_SUBSUM_SUPPORT:
-        raise ValueError(
-            f"support of size {len(support)} exceeds the subsum enumeration "
-            f"limit of {MAX_SUBSUM_SUPPORT}"
-        )
-    return support
-
-
-def proper_support_subsets(f: BivariatePoly) -> Iterator[tuple[ExponentPair, ...]]:
-    """All 2^|S| - 2 nonempty proper subsets of the support, in mask order."""
-    support = _require_subsum_support(f)
-    m = len(support)
-    for mask in range(1, (1 << m) - 1):
-        yield tuple(support[b] for b in range(m) if mask >> b & 1)
-
-
-def term_values(f: BivariatePoly, x: Fraction, y: Fraction) -> tuple[Fraction, ...]:
-    """Value of each support term at (x, y), aligned with f.support."""
-    return tuple(f.terms[(i, j)] * x**i * y**j for i, j in f.support)
-
-
-def _mask_sums(values: Sequence[Fraction]) -> list[Fraction]:
-    sums = [Fraction(0)] * (1 << len(values))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+def _mask_sums(values: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """Subset sums indexed by bit mask: bit b of the mask takes values[b]."""
+    sums = [0]
+    for value in values:
+        sums += [s + value for s in sums]
     return sums
 
 
-def zero_proper_subset_exists(values: Sequence[Fraction]) -> bool:
+def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
     """Does any nonempty proper subset of values sum to zero?
 
     Meet in the middle: both halves' subset sums are enumerated and joined
@@ -457,9 +408,7 @@ def zero_proper_subset_exists(values: Sequence[Fraction]) -> bool:
     half = len(values) // 2
     left_sums = _mask_sums(values[:half])
     right_sums = _mask_sums(values[half:])
-    right_counts: dict[Fraction, int] = {}
-    for s in right_sums:
-        right_counts[s] = right_counts.get(s, 0) + 1
+    right_counts = Counter(right_sums)
     left_full = len(left_sums) - 1
     right_full_sum = right_sums[-1]
     for mask, s in enumerate(left_sums):
@@ -477,24 +426,7 @@ def zero_proper_subset_exists(values: Sequence[Fraction]) -> bool:
 
 def has_vanishing_subsum(f: BivariatePoly, x: Fraction, y: Fraction) -> bool:
     """True when some nonempty proper subsum of f vanishes at (x, y)."""
-    _require_subsum_support(f)
-    return zero_proper_subset_exists(term_values(f, x, y))
-
-
-def vanishing_subsets(
-    f: BivariatePoly, x: Fraction, y: Fraction
-) -> tuple[tuple[ExponentPair, ...], ...]:
-    """All nonempty proper support subsets whose partial sum is 0 at (x, y).
-
-    An empty result means (x, y) is a clean solution of f(x, y) = f's value
-    there: every partial sum survives.
-    """
-    support = _require_subsum_support(f)
-    values = term_values(f, x, y)
-    sums = _mask_sums(values)
-    m = len(support)
-    out = []
-    for mask in range(1, (1 << m) - 1):
-        if sums[mask] == 0:
-            out.append(tuple(support[b] for b in range(m) if mask >> b & 1))
-    return tuple(out)
+    support = f.support
+    if not 2 <= len(support) <= MAX_SUBSUM_SUPPORT:
+        raise ValueError(f"subsum checks need 2 to {MAX_SUBSUM_SUPPORT} support terms")
+    return zero_proper_subset_exists([f.terms[(i, j)] * x**i * y**j for i, j in support])

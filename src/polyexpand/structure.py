@@ -21,6 +21,9 @@ from .rational import format_rational, parse_rational
 from .sets import RationalSet, check_budget, make_set
 
 DEFAULT_MAX_ELEMENTS = 1_000_000
+# Printing a bound value takes time quadratic in its digit count, so larger
+# values are refused before they are built; n = 5, r = 4 has about 104k digits.
+MAX_BOUND_DIGITS = 200_000
 
 
 def _integer_rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -185,7 +188,7 @@ def ggp_enumerate(
     """
     if t < 1:
         raise ValueError("dilation factor must be a positive integer")
-    check_budget(g.box_size(t), max_elements, "box enumeration")
+    check_budget(g.box_size(t), max_elements, "box enumeration", "elements")
     members: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
     for generator, h in zip(g.generators, g.dims):
         width = t * h
@@ -261,14 +264,16 @@ def amoroso_viada_bound(n: int, r: int) -> BoundValue:
     Bounds the solutions of a_1 z_1 + ... + a_n z_n = 1 with the z_i in a
     multiplicative group of rank r and no vanishing subsum on the left.
     The log10 approximation is good to float precision (far beyond six
-    significant digits).
+    significant digits). Values above MAX_BOUND_DIGITS digits are never built.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if r < 0:
         raise ValueError("r must be a non-negative integer")
+    log10 = bound_log10(n, r)
+    check_budget(math.floor(log10) + 1, MAX_BOUND_DIGITS, "the bound value", "digits", None)
     exponent = 4 * n**4 * (n + n * r + 1)
-    return BoundValue(n=n, r=r, value=(8 * n) ** exponent, log10=bound_log10(n, r))
+    return BoundValue(n=n, r=r, value=(8 * n) ** exponent, log10=log10)
 
 
 def bound_log10(n: int, r: int) -> float:

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyexpand
 from polyexpand.cli import SWEEP_CSV_HEADER, main
 
 
@@ -238,6 +244,38 @@ def test_bound_large_value_prints(capsys):
     payload = json.loads(out)
     assert len(payload["value"]) > 100_000
     assert payload["value"].isdigit()
+
+
+def _limit_cpu_to_two_seconds():
+    resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+
+def test_bound_above_digit_cap_exit_3():
+    # 160^77440000 has about 1.7e8 digits. The cap must refuse it from log10
+    # alone; the child gets 2 s of CPU, far too little to build the integer,
+    # so a missing cap kills the child instead of building it.
+    result = subprocess.run(
+        [sys.executable, "-m", "polyexpand", "bound", "--n", "20", "--r", "5"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(polyexpand.__file__).parents[1])},
+        preexec_fn=_limit_cpu_to_two_seconds,
+        timeout=30,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "digit budget exceeded" in result.stderr
+    assert "170687052 digits" in result.stderr
+
+
+def test_structure_cap_exit_3(capsys, set_file):
+    # |A| = 3, so the product set needs 9 pairs
+    code, out, err = run_cli(["structure", "--set", set_file, "--max-pairs", "8"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "product set needs 9 pairs" in err and "--max-pairs" in err
+    code, _, _ = run_cli(["structure", "--set", set_file, "--max-pairs", "9"], capsys)
+    assert code == 0
 
 
 def test_json_outputs_are_byte_stable(capsys, set_file):

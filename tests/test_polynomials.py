@@ -24,9 +24,8 @@ from polyexpand import (
     has_vanishing_subsum,
     non_parallel_witnesses,
     parse_poly,
-    proper_support_subsets,
-    vanishing_subsets,
 )
+from reference import proper_support_subsets, vanishing_subsets
 
 
 @st.composite

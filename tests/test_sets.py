@@ -224,6 +224,26 @@ def test_pair_cap_is_enforced():
         energy(f, a, max_pairs=8)
 
 
+def test_product_and_sum_sets_respect_the_pair_cap():
+    a = make_set([1, 2, 3])
+    with pytest.raises(CapExceeded):
+        productset(a, a, max_pairs=8)
+    with pytest.raises(CapExceeded):
+        doubling_ratio(a, max_pairs=8)
+    with pytest.raises(CapExceeded):
+        sumset(a, a, max_pairs=8)
+    assert doubling_ratio(a, max_pairs=9) == 2
+
+
+def test_cap_message_names_budget_request_cap_and_flag():
+    with pytest.raises(CapExceeded) as info:
+        image_set(parse_poly("x*y"), make_set([1, 2, 3]), max_pairs=8)
+    message = str(info.value)
+    assert message.startswith("pair budget exceeded: image enumeration needs 9 pairs")
+    assert "above the cap of 8" in message
+    assert "--max-pairs" in message
+
+
 def test_results_are_reproducible():
     a = dyadic(8)
     f = parse_poly("x*y + x^2*y^3")

@@ -309,6 +309,13 @@ def test_bound_monotone_grid():
             assert grid[(n, r)] < grid[(n + 1, r)]
 
 
+def test_bound_digit_cap():
+    # n = 6, r = 4 has about 270k digits, just above the cap of 200k
+    with pytest.raises(CapExceeded, match="needs 270183 digits, above the cap of 200000"):
+        amoroso_viada_bound(6, 4)
+    assert amoroso_viada_bound(5, 4).value == 40**65000
+
+
 def test_bound_rejects_bad_arguments():
     with pytest.raises(ValueError):
         amoroso_viada_bound(0, 0)
