@@ -11,6 +11,7 @@ every format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -42,6 +43,7 @@ EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyexpand",
@@ -56,22 +58,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", parents=[common], help="decide the g(x^a y^b) shape")
     p.add_argument("--poly", required=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("image", parents=[common], help="distinct values f(a, b)")
     p.add_argument("--poly", required=True)
     p.add_argument("--set", required=True, dest="set_path")
     p.add_argument("--set2", dest="set2_path", default=None)
-    p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("energy", parents=[common], help="pair-coincidence energy")
     p.add_argument("--poly", required=True)
     p.add_argument("--set", required=True, dest="set_path")
-    p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("structure", parents=[common], help="doubling and lattice rank")
     p.add_argument("--set", required=True, dest="set_path")
-    p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("audit", parents=[common], help="bound audits by brute force")
     p.add_argument("--poly", required=True)
@@ -79,43 +77,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--ggp", default=None)
     p.add_argument("--t", type=int, default=None)
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("sweep", parents=[common], help="image growth over a family")
     p.add_argument("--poly", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--N", required=True, help="comma-separated sample sizes")
     p.add_argument("--allow-exceptional", action="store_true")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bound", parents=[common], help="unit-equation bound value")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_bound)
 
     return parser
 
 
-def _validate_common(args: argparse.Namespace) -> None:
-    if args.max_pairs < 1:
-        raise ValueError("--max-pairs must be positive")
+# Each cmd_* returns (exit code, JSON payload, text lines); main prints one.
+Result = tuple[int, dict, list[str]]
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        raise ValueError("csv output is only available for sweep")
-    else:
-        for line in lines:
-            print(line)
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> Result:
     f = parse_poly(args.poly)
     decomposition = classify_monomial_composition(f)
     if decomposition is not None:
@@ -149,11 +129,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             f"{format_monomial(witnesses[1])} have non-parallel exponents "
             f"{witnesses[0]} and {witnesses[1]}",
         ]
-    _emit(payload, lines, args)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_image(args: argparse.Namespace) -> int:
+def cmd_image(args: argparse.Namespace) -> Result:
     f = parse_poly(args.poly)
     a = read_set_file(args.set_path)
     b = read_set_file(args.set2_path) if args.set2_path else None
@@ -166,11 +145,10 @@ def cmd_image(args: argparse.Namespace) -> int:
         "values": values,
     }
     lines = [f"size = {len(image)}", f"values = {{{', '.join(values)}}}"]
-    _emit(payload, lines, args)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
+def cmd_energy(args: argparse.Namespace) -> Result:
     f = parse_poly(args.poly)
     a = read_set_file(args.set_path)
     check = cauchy_schwarz_check(f, a, max_pairs=args.max_pairs)
@@ -189,11 +167,10 @@ def cmd_energy(args: argparse.Namespace) -> int:
         f"lower bound |A|^4/|f(A,A)| = {format_rational(check.lower_bound)}",
         f"holds = {str(check.holds).lower()}",
     ]
-    _emit(payload, lines, args)
-    return EXIT_OK if check.holds else EXIT_INCONSISTENT
+    return (EXIT_OK if check.holds else EXIT_INCONSISTENT), payload, lines
 
 
-def cmd_structure(args: argparse.Namespace) -> int:
+def cmd_structure(args: argparse.Namespace) -> Result:
     a = read_set_file(args.set_path)
     products = productset_size(a, args.max_pairs)
     rank = multiplicative_rank(a)
@@ -212,11 +189,10 @@ def cmd_structure(args: argparse.Namespace) -> int:
         f"doubling = {format_rational(doubling)}",
         f"rank = {rank}",
     ]
-    _emit(payload, lines, args)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> Result:
     f = parse_poly(args.poly)
     if args.set_path is None and args.ggp is None:
         raise ValueError("audit needs --set (subsum audit) or --ggp (injectivity audit)")
@@ -229,6 +205,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
         report = audit_vanishing_subsums(
             f, a, threshold=args.threshold, max_pairs=args.max_pairs
         )
+        # Looking values up by Fraction would hash them, which costs more
+        # than formatting; each list is formatted once and used twice.
+        high = [format_rational(v) for v in report.high_multiplicity]
+        table = [
+            {"value": format_rational(s.value), "clean": s.clean, "dirty": s.dirty}
+            for s in report.splits
+        ]
         payload["subsum_audit"] = {
             "degree": report.degree,
             "support_size": report.support_size,
@@ -238,25 +221,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
             "max_bad_values": report.max_bad_values,
             "consistent": report.consistent,
             "threshold": report.threshold,
-            "high_multiplicity": [format_rational(v) for v in report.high_multiplicity],
+            "high_multiplicity": high,
             "theoretical_threshold_log10": report.theoretical_threshold_log10,
             "zero_value_full_sum_solutions": report.zero_value_full_sum_solutions,
-            "table": [
-                {
-                    "value": format_rational(s.value),
-                    "clean": s.clean,
-                    "dirty": s.dirty,
-                }
-                for s in report.splits
-            ],
+            "table": table,
         }
         lines += [
             f"subsum audit: degree = {report.degree}, support = {report.support_size}, "
             f"pairs = {report.total_pairs()}",
             f"  dirty bound = {report.dirty_bound}, values above it = "
             f"{len(report.bad_values)} (allowed {report.max_bad_values})",
-            f"  high multiplicity (> {report.threshold}): "
-            f"{[format_rational(v) for v in report.high_multiplicity]}",
+            f"  high multiplicity (> {report.threshold}): {high}",
             f"  theoretical threshold log10 = "
             f"{report.theoretical_threshold_log10:.6g}",
             f"  consistent = {str(report.consistent).lower()}",
@@ -264,10 +239,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if not report.consistent:
             exit_code = EXIT_INCONSISTENT
             lines.append("  full table (value clean dirty):")
-            for s in report.splits:
-                lines.append(
-                    f"    {format_rational(s.value)} {s.clean} {s.dirty}"
-                )
+            lines += [f"    {row['value']} {row['clean']} {row['dirty']}" for row in table]
 
     if args.ggp is not None:
         if args.t is None:
@@ -286,14 +258,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if not injective:
             exit_code = EXIT_INCONSISTENT
 
-    _emit(payload, lines, args)
-    return exit_code
+    return exit_code, payload, lines
 
 
 SWEEP_CSV_HEADER = "N,setsize,productset,K,image,ratio"
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Result:
     f = parse_poly(args.poly)
     family = parse_family(args.family)
     try:
@@ -327,13 +298,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ],
     }
     if args.format == "csv":
-        print(SWEEP_CSV_HEADER)
-        for row in report.rows:
-            print(
-                f"{row.N},{row.set_size},{row.productset_size},"
-                f"{float(row.doubling)!r},{row.image_size},{float(row.ratio)!r}"
-            )
-        return EXIT_OK
+        lines = [SWEEP_CSV_HEADER] + [
+            f"{row.N},{row.set_size},{row.productset_size},"
+            f"{float(row.doubling)!r},{row.image_size},{float(row.ratio)!r}"
+            for row in report.rows
+        ]
+        return EXIT_OK, payload, lines
     lines = [f"family = {report.family}", f"f = {report.polynomial}"]
     lines.append(f"{'N':>6} {'|A|':>8} {'|AA|':>8} {'K':>10} {'|f(A,A)|':>10} {'ratio':>10}")
     for row in report.rows:
@@ -343,11 +313,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     if report.growth_exponent is not None:
         lines.append(f"fitted growth exponent = {report.growth_exponent:.4f}")
-    _emit(payload, lines, args)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> Result:
     bound = amoroso_viada_bound(args.n, args.r)
     digits = int(bound.log10) + 10
     if hasattr(sys, "set_int_max_str_digits"):
@@ -365,16 +334,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
         f"value = {bound.value}",
         f"log10 = {bound.log10:.6g}",
     ]
-    _emit(payload, lines, args)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _validate_common(args)
-        return args.func(args)
+        if args.max_pairs < 1:
+            raise ValueError("--max-pairs must be positive")
+        if args.format == "csv" and args.command != "sweep":
+            raise ValueError("csv output is only available for sweep")
+        # Looked up at each call, so a rebound cmd_* is the one that runs.
+        code, payload, lines = globals()[f"cmd_{args.command}"](args)
+        print(json.dumps(payload, sort_keys=True) if args.format == "json" else "\n".join(lines))
+        return code
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

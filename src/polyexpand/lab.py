@@ -24,6 +24,7 @@ from math import comb, isqrt
 from pathlib import Path
 
 from .polynomials import (
+    MAX_SUBSUM_SUPPORT,
     BivariatePoly,
     classify_monomial_composition,
     format_monomial,
@@ -150,16 +151,20 @@ def _require_multiterm(f: BivariatePoly) -> None:
         )
 
 
-def _require_non_exceptional(f: BivariatePoly) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Refuse g(x^a y^b) shapes; return the first non-parallel witness pair."""
-    _require_nonzero(f)
+def _refuse_exceptional(f: BivariatePoly, closing: str) -> None:
+    """Raise ExceptionalPolynomialError if f = g(x^a y^b); closing ends the message."""
     decomposition = classify_monomial_composition(f)
     if decomposition is not None:
         raise ExceptionalPolynomialError(
             f"f = {f} equals g({format_monomial(decomposition.monomial)}) with "
-            f"g(t) = {decomposition.g}; its image can grow linearly, so this "
-            "operation refuses it"
+            f"g(t) = {decomposition.g}{closing}"
         )
+
+
+def _require_non_exceptional(f: BivariatePoly) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Refuse g(x^a y^b) shapes; return the first non-parallel witness pair."""
+    _require_nonzero(f)
+    _refuse_exceptional(f, "; its image can grow linearly, so this operation refuses it")
     witnesses = non_parallel_witnesses(f)
     assert witnesses is not None
     return witnesses
@@ -173,6 +178,7 @@ def split_solutions(
 ) -> SolutionSplit:
     """Split the solutions of f(x, y) = value into clean and dirty pairs."""
     _require_multiterm(f)
+    check_budget(len(f.support), MAX_SUBSUM_SUPPORT, "solution split", "terms", None)
     scale, rows = _pair_rows(f, a, a, max_pairs, "solution split")
     key = value * scale
     clean = dirty = 0
@@ -212,6 +218,7 @@ def audit_vanishing_subsums(
     falsify a guaranteed bound, i.e. expose a defect in this code.
     """
     _require_non_exceptional(f)
+    check_budget(len(f.support), MAX_SUBSUM_SUPPORT, "subsum audit", "terms", None)
     # Term values and their sums are ints scaled by the same scale > 0, so
     # vanishing subsums, equal values and the value order are all exact.
     scale, rows = _pair_rows(f, a, a, max_pairs, "subsum audit")
@@ -414,13 +421,11 @@ def expansion_sweep(
     if not sizes:
         raise ValueError("at least one sample size is required")
     if not allow_exceptional:
-        decomposition = classify_monomial_composition(f)
-        if decomposition is not None:
-            raise ExceptionalPolynomialError(
-                f"f = {f} equals g({format_monomial(decomposition.monomial)}) with "
-                f"g(t) = {decomposition.g}, so its image growth is degenerate; "
-                "pass allow_exceptional=True (--allow-exceptional) to sweep it anyway"
-            )
+        _refuse_exceptional(
+            f,
+            ", so its image growth is degenerate; "
+            "pass allow_exceptional=True (--allow-exceptional) to sweep it anyway",
+        )
     max_elements = max(1, isqrt(max_pairs))
     rows = []
     for n in sizes:

@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and fixed inputs shared by the test modules."""
 
 from __future__ import annotations
 
@@ -99,3 +99,8 @@ def random_ggp(rng: random.Random, max_rank: int = 3, max_dim: int = 3) -> GGP:
     generators = tuple(rng.sample(GENERATOR_POOL, rank))
     dims = tuple(rng.randint(1, max_dim) for _ in range(rank))
     return GGP(generators, dims)
+
+
+def all_monomials(degree: int) -> str:
+    """The sum of every monomial x^i*y^j with i + j <= degree, as text."""
+    return " + ".join(f"x^{i}*y^{j}" for i in range(degree + 1) for j in range(degree + 1 - i))

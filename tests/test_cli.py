@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import polyexpand
+from genutil import all_monomials
 from polyexpand.cli import SWEEP_CSV_HEADER, main
 
 
@@ -250,22 +251,37 @@ def _limit_cpu_to_two_seconds():
     resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
 
 
-def test_bound_above_digit_cap_exit_3():
-    # 160^77440000 has about 1.7e8 digits. The cap must refuse it from log10
-    # alone; the child gets 2 s of CPU, far too little to build the integer,
-    # so a missing cap kills the child instead of building it.
-    result = subprocess.run(
-        [sys.executable, "-m", "polyexpand", "bound", "--n", "20", "--r", "5"],
+def run_cli_with_two_cpu_seconds(argv):
+    """Run the CLI in a child that is killed after 2 s of CPU."""
+    return subprocess.run(
+        [sys.executable, "-m", "polyexpand", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(polyexpand.__file__).parents[1])},
         preexec_fn=_limit_cpu_to_two_seconds,
         timeout=30,
     )
+
+
+def test_bound_above_digit_cap_exit_3():
+    # 160^77440000 has about 1.7e8 digits. The cap must refuse it from log10
+    # alone; the child gets 2 s of CPU, far too little to build the integer,
+    # so a missing cap kills the child instead of building it.
+    result = run_cli_with_two_cpu_seconds(["bound", "--n", "20", "--r", "5"])
     assert result.returncode == 3
     assert result.stdout == ""
     assert "digit budget exceeded" in result.stderr
     assert "170687052 digits" in result.stderr
+
+
+def test_audit_above_support_cap_exit_3(set_file):
+    # 45 terms would cost about 2^22 subsum entries per pair, far more than
+    # the child's 2 s of CPU, so only a refusal before the walk exits 3.
+    result = run_cli_with_two_cpu_seconds(["audit", "--poly", all_monomials(8), "--set", set_file])
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "term budget exceeded: subsum audit needs 45 terms" in result.stderr
+    assert "this cap is fixed" in result.stderr
 
 
 def test_structure_cap_exit_3(capsys, set_file):
@@ -301,3 +317,34 @@ def test_unknown_family(capsys):
     )
     assert code == 2
     assert "family" in err
+
+
+def test_csv_rejected_before_any_work(capsys, set_file):
+    code, out, err = run_cli(
+        ["image", "--poly", "x + y", "--set", "/nonexistent", "--format", "csv"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "csv" in err
+    # The pair budget is never reached: exit 2, not 3.
+    code, out, err = run_cli(
+        ["energy", "--poly", "x*y", "--set", set_file, "--format", "csv", "--max-pairs", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "csv" in err
+
+
+def test_cached_parser_dispatches_to_rebound_commands(capsys, set_file, monkeypatch):
+    run_cli(["structure", "--set", set_file], capsys)
+    monkeypatch.setattr(polyexpand.cli, "cmd_structure", lambda args: (0, {}, ["patched"]))
+    assert run_cli(["structure", "--set", set_file], capsys) == (0, "patched\n", "")
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, set_file, tmp_path):
+    b = tmp_path / "b.txt"
+    b.write_text("3\n", encoding="utf-8")
+    argv = ["image", "--poly", "x*y", "--set", set_file, "--format", "json"]
+    _, out, _ = run_cli(argv + ["--set2", str(b)], capsys)
+    assert json.loads(out)["values"] == ["6", "12", "24"]
+    _, out, _ = run_cli(argv, capsys)
+    assert json.loads(out)["values"] == ["4", "8", "16", "32", "64"]

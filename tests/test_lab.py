@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from genutil import random_nonexceptional_poly, random_set
+from genutil import all_monomials, random_nonexceptional_poly, random_set
 from polyexpand import (
     GGP,
     CapExceeded,
@@ -160,6 +160,22 @@ def test_audit_is_deterministic():
 def test_audit_pair_cap():
     with pytest.raises(CapExceeded):
         audit_vanishing_subsums(parse_poly("x + y"), make_set([1, 2, 3]), max_pairs=4)
+
+
+def test_subsum_paths_cap_the_support():
+    # Degree <= 5 has 21 monomials; without x^5 it has 20, the largest support allowed.
+    a = make_set([2, 3])
+    at_cap = parse_poly(all_monomials(5) + " - x^5")
+    assert len(at_cap.support) == 20
+    assert audit_vanishing_subsums(at_cap, a).total_pairs() == 4
+    assert split_solutions(at_cap, a, Fraction(2)).multiplicity == 0
+    for degree, terms in ((5, 21), (8, 45)):
+        f = parse_poly(all_monomials(degree))
+        # The term cap is checked before the pair budget, so max_pairs=1 is never reached.
+        with pytest.raises(CapExceeded, match=f"needs {terms} terms, above the cap of 20"):
+            audit_vanishing_subsums(f, a, max_pairs=1)
+        with pytest.raises(CapExceeded, match=f"needs {terms} terms, above the cap of 20"):
+            split_solutions(f, a, Fraction(0), max_pairs=1)
 
 
 def test_injectivity_single_generator():
