@@ -6,7 +6,9 @@ univariate polynomial of a single monomial, f = g(x^a y^b). This package
 classifies that shape exactly, computes image sets, multiplicity histograms
 and energies in exact arithmetic, detects multiplicative structure through
 exponent lattices over a pairwise-coprime base, and audits the counting
-bounds behind the phenomenon by brute force.
+bounds behind the phenomenon by brute force. The subsum audit splits the
+solutions of f(x, y) = v, for every image value v, into clean and dirty
+ones by whether a proper subsum of f's terms vanishes there.
 """
 
 from .lab import (
@@ -24,9 +26,7 @@ from .lab import (
     audit_vanishing_subsums,
     cauchy_schwarz_check,
     expansion_sweep,
-    high_multiplicity_values,
     parse_family,
-    split_solutions,
 )
 from .polynomials import (
     BivariatePoly,
@@ -36,7 +36,6 @@ from .polynomials import (
     classify_monomial_composition,
     compose,
     format_monomial,
-    has_vanishing_subsum,
     non_parallel_witnesses,
     parse_poly,
 )
@@ -109,8 +108,6 @@ __all__ = [
     "format_rational",
     "ggp_enumerate",
     "ggp_power",
-    "has_vanishing_subsum",
-    "high_multiplicity_values",
     "image_set",
     "make_set",
     "multiplicative_rank",
@@ -124,7 +121,6 @@ __all__ = [
     "productset_size",
     "read_set_file",
     "solve_exponent_system",
-    "split_solutions",
     "sumset",
     "value_multiplicities",
 ]

@@ -358,7 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         DistinctnessError,
         FileNotFoundError,
         ValueError,
-        TypeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,6 @@ from math import comb, isqrt
 from pathlib import Path
 
 from .polynomials import (
-    MAX_SUBSUM_SUPPORT,
     BivariatePoly,
     classify_monomial_composition,
     format_monomial,
@@ -39,7 +38,6 @@ from .sets import (
     check_budget,
     doubling_ratio,
     make_set,
-    multiplicity_histogram,
     productset_size,
     read_set_file,
     value_multiplicities,
@@ -53,6 +51,9 @@ from .structure import (
     parse_ggp_spec,
     solve_exponent_system,
 )
+
+# The subsum check of one pair costs 2^(m/2) for m support terms; refuse beyond this.
+MAX_SUBSUM_SUPPORT = 20
 
 
 class ExceptionalPolynomialError(ValueError):
@@ -142,15 +143,6 @@ def _require_nonzero(f: BivariatePoly) -> None:
         raise ValueError("the zero polynomial is not accepted here")
 
 
-def _require_multiterm(f: BivariatePoly) -> None:
-    _require_nonzero(f)
-    if len(f.support) < 2:
-        raise ExceptionalPolynomialError(
-            f"f = {f} is a constant or single monomial, so every value is hit "
-            "along whole exponent fibers; subsum splitting needs two or more terms"
-        )
-
-
 def _refuse_exceptional(f: BivariatePoly, closing: str) -> None:
     """Raise ExceptionalPolynomialError if f = g(x^a y^b); closing ends the message."""
     decomposition = classify_monomial_composition(f)
@@ -168,41 +160,6 @@ def _require_non_exceptional(f: BivariatePoly) -> tuple[tuple[int, int], tuple[i
     witnesses = non_parallel_witnesses(f)
     assert witnesses is not None
     return witnesses
-
-
-def split_solutions(
-    f: BivariatePoly,
-    a: RationalSet,
-    value: Fraction,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-) -> SolutionSplit:
-    """Split the solutions of f(x, y) = value into clean and dirty pairs."""
-    _require_multiterm(f)
-    check_budget(len(f.support), MAX_SUBSUM_SUPPORT, "solution split", "terms", None)
-    scale, rows = _pair_rows(f, a, a, max_pairs, "solution split")
-    key = value * scale
-    clean = dirty = 0
-    for columns in rows:
-        for values in zip(*columns):
-            if sum(values) != key:
-                continue
-            if zero_proper_subset_exists(values):
-                dirty += 1
-            else:
-                clean += 1
-    return SolutionSplit(value=value, clean=clean, dirty=dirty)
-
-
-def high_multiplicity_values(
-    f: BivariatePoly,
-    a: RationalSet,
-    threshold: int,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-) -> tuple[Fraction, ...]:
-    """Image values taken by more than threshold pairs, in increasing order."""
-    _require_nonzero(f)
-    histogram = multiplicity_histogram(f, a, max_pairs)
-    return tuple(v for v, m in histogram.counts.items() if m > threshold)
 
 
 def audit_vanishing_subsums(

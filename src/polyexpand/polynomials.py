@@ -34,9 +34,6 @@ from .rational import format_rational
 
 ExponentPair = tuple[int, int]
 
-# Full subset enumeration is exponential in the support size; refuse beyond this.
-MAX_SUBSUM_SUPPORT = 20
-
 
 class PolyParseError(ValueError):
     """Polynomial text that does not match the expression grammar."""
@@ -131,15 +128,6 @@ class BivariatePoly:
         for (i, j), coefficient in self._terms.items():
             total += coefficient * x**i * y**j
         return total
-
-    def substitute_x(self, x: Fraction) -> "UnivariatePoly":
-        """Fix x, leaving an exact univariate polynomial in y."""
-        if not self._terms:
-            return UnivariatePoly(())
-        coeffs = [Fraction(0)] * (max(j for _, j in self._terms) + 1)
-        for (i, j), coefficient in self._terms.items():
-            coeffs[j] += coefficient * Fraction(x) ** i
-        return UnivariatePoly(coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariatePoly):
@@ -422,11 +410,3 @@ def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
         if matches > 0:
             return True
     return False
-
-
-def has_vanishing_subsum(f: BivariatePoly, x: Fraction, y: Fraction) -> bool:
-    """True when some nonempty proper subsum of f vanishes at (x, y)."""
-    support = f.support
-    if not 2 <= len(support) <= MAX_SUBSUM_SUPPORT:
-        raise ValueError(f"subsum checks need 2 to {MAX_SUBSUM_SUPPORT} support terms")
-    return zero_proper_subset_exists([f.terms[(i, j)] * x**i * y**j for i, j in support])

@@ -200,15 +200,6 @@ class MultiplicityHistogram:
 
     counts: Mapping[Fraction, int]
 
-    def total_pairs(self) -> int:
-        return sum(self.counts.values())
-
-    def image(self) -> RationalSet:
-        return RationalSet(tuple(self.counts))
-
-    def energy(self) -> int:
-        return sum(m * m for m in self.counts.values())
-
 
 def multiplicity_histogram(
     f: BivariatePoly, a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS

@@ -141,10 +141,6 @@ class GGP:
             if h < 1:
                 raise ValueError(f"box dimensions must be positive, got {h}")
 
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
     def box_size(self, t: int = 1) -> int:
         size = 1
         for h in self.dims:
@@ -210,7 +206,7 @@ def ggp_power(g: GGP, t: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Ratio
 
 def distinctness_check(g: GGP, t: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> bool:
     """True when all prod(t * Hi) products of the t-dilated box are distinct."""
-    return len(ggp_power(g, t, max_elements)) == g.box_size(t)
+    return len({v for _, v in ggp_enumerate(g, t, max_elements)}) == g.box_size(t)
 
 
 class ParallelVectorsError(ValueError):

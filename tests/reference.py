@@ -18,9 +18,8 @@ def image_values(f, a, b=None) -> tuple[Fraction, ...]:
     b = a if b is None else b
     values = set()
     for x in a:
-        row = f.substitute_x(x)
         for y in b:
-            values.add(row.evaluate(y))
+            values.add(f.evaluate(x, y))
     return tuple(sorted(values))
 
 
@@ -28,9 +27,8 @@ def histogram(f, a) -> dict[Fraction, int]:
     """Value -> number of pairs in a x a, keys ascending."""
     counts: dict[Fraction, int] = {}
     for x in a:
-        row = f.substitute_x(x)
         for y in a:
-            value = row.evaluate(y)
+            value = f.evaluate(x, y)
             counts[value] = counts.get(value, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -62,18 +60,6 @@ def has_zero_proper_subsum(values) -> bool:
         sum(v for b, v in enumerate(values) if mask >> b & 1) == 0
         for mask in range(1, (1 << m) - 1)
     )
-
-
-def split_counts(f, a, value) -> tuple[int, int]:
-    """(clean, dirty) solutions of f(x, y) = value in a x a."""
-    clean = dirty = 0
-    for values in pair_term_values(f, a):
-        if sum(values) == value:
-            if has_zero_proper_subsum(values):
-                dirty += 1
-            else:
-                clean += 1
-    return clean, dirty
 
 
 def audit_table(f, a) -> tuple[list[tuple[Fraction, int, int]], int]:

@@ -348,3 +348,13 @@ def test_cached_parser_keeps_no_state_between_calls(capsys, set_file, tmp_path):
     assert json.loads(out)["values"] == ["6", "12", "24"]
     _, out, _ = run_cli(argv, capsys)
     assert json.loads(out)["values"] == ["4", "8", "16", "32", "64"]
+
+
+def test_type_error_is_not_a_usage_error(set_file, monkeypatch):
+    # No CLI input reaches a TypeError, so one is a defect and must propagate.
+    def broken(args):
+        raise TypeError("defect")
+
+    monkeypatch.setattr(polyexpand.cli, "cmd_structure", broken)
+    with pytest.raises(TypeError, match="defect"):
+        main(["structure", "--set", set_file])

@@ -1,10 +1,10 @@
 """Hypothesis properties: the integer pair-space kernel against Fraction loops.
 
 Every public path that walks the pair space (image, histogram, energy,
-product and sum sets, solution splits, the subsum audit and the injectivity
-audit) must give exactly what the plain Fraction reference in
-``reference.py`` gives. Sets mix negative elements, 0 and many pairwise
-coprime denominators; polynomials include the zero polynomial and constants.
+product and sum sets, the subsum audit and the injectivity audit) must give
+exactly what the plain Fraction reference in ``reference.py`` gives. Sets mix
+negative elements, 0 and many pairwise coprime denominators; polynomials
+include the zero polynomial and constants.
 """
 
 from fractions import Fraction
@@ -30,7 +30,6 @@ from polyexpand import (
     multiplicity_histogram,
     productset,
     productset_size,
-    split_solutions,
     sumset,
     value_multiplicities,
 )
@@ -88,18 +87,6 @@ def test_product_and_sum_sets_match_reference(a, b):
     products = reference.productset(a, a)
     assert productset_size(a) == len(products)
     assert doubling_ratio(a) == Fraction(len(products), len(a))
-
-
-@SETTINGS
-@given(polys(), sets, st.data())
-def test_split_solutions_match_reference(f, a, data):
-    assume(len(f.terms) >= 2)
-    values = list(reference.histogram(f, a))
-    # A value off the image, which need not even be a key over the scale.
-    values.append(max(values) + Fraction(1, 97))
-    value = data.draw(st.sampled_from(values))
-    split = split_solutions(f, a, value)
-    assert (split.clean, split.dirty) == reference.split_counts(f, a, value)
 
 
 @SETTINGS

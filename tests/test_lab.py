@@ -17,12 +17,10 @@ from polyexpand import (
     audit_vanishing_subsums,
     cauchy_schwarz_check,
     expansion_sweep,
-    high_multiplicity_values,
     make_set,
     multiplicity_histogram,
     parse_family,
     parse_poly,
-    split_solutions,
 )
 
 
@@ -30,60 +28,36 @@ def dyadic(n):
     return make_set([Fraction(2) ** k for k in range(1, n + 1)])
 
 
+def split_row(f, a, value):
+    """The (clean, dirty) row of the subsum audit table at value."""
+    rows = {s.value: (s.clean, s.dirty) for s in audit_vanishing_subsums(f, a).splits}
+    return rows[value]
+
+
 def test_split_solutions_clean_only():
-    split = split_solutions(parse_poly("x^2 - y^2"), make_set([1, 2, 3]), Fraction(3))
-    assert (split.clean, split.dirty) == (1, 0)
+    assert split_row(parse_poly("x^2 - y^2"), make_set([1, 2, 3]), Fraction(3)) == (1, 0)
 
 
 def test_split_solutions_diagonal_value_zero():
     # x^2 - y^2 = 0 on the diagonal: the proper subsums x^2 and -y^2 are
     # nonzero there, so all three solutions are clean
-    split = split_solutions(parse_poly("x^2 - y^2"), make_set([1, 2, 3]), Fraction(0))
-    assert (split.clean, split.dirty) == (3, 0)
+    assert split_row(parse_poly("x^2 - y^2"), make_set([1, 2, 3]), Fraction(0)) == (3, 0)
 
 
 def test_split_solutions_positive_terms():
-    split = split_solutions(parse_poly("x + y"), make_set([1, 2]), Fraction(3))
-    assert (split.clean, split.dirty) == (2, 0)
+    assert split_row(parse_poly("x + y"), make_set([1, 2]), Fraction(3)) == (2, 0)
 
 
 def test_split_solutions_detects_dirty_pairs():
     # at (1, -1) the subsum x^2 + x*y vanishes, so that solution is dirty
     f = parse_poly("x^2 + x*y - y^2")
     value = f.evaluate(Fraction(1), Fraction(-1))
-    split = split_solutions(f, make_set([-1, 1]), value)
-    assert split.dirty >= 1
+    assert split_row(f, make_set([-1, 1]), value)[1] >= 1
 
 
 def test_split_solutions_refuses_single_monomial():
     with pytest.raises(ExceptionalPolynomialError):
-        split_solutions(parse_poly("x^2*y^3"), make_set([1, 2]), Fraction(32))
-
-
-def test_split_solutions_allows_composed_shapes_with_two_terms():
-    # only constants and single monomials are refused; g(x*y) shapes with
-    # two terms still have meaningful subsums. f(1,2) = f(2,1) = 6, clean.
-    split = split_solutions(parse_poly("x*y + x^2*y^2"), make_set([1, 2]), Fraction(6))
-    assert (split.clean, split.dirty) == (2, 0)
-
-
-def test_split_matches_histogram():
-    rng = random.Random(555)
-    for _ in range(10):
-        f = random_nonexceptional_poly(rng, max_degree=3, max_terms=4)
-        a = random_set(rng, max_size=6, nonzero=True)
-        hist = multiplicity_histogram(f, a)
-        for value, count in hist.counts.items():
-            split = split_solutions(f, a, value)
-            assert split.multiplicity == count
-
-
-def test_high_multiplicity_values():
-    f = parse_poly("x*y")
-    a = make_set([2, 4, 8])
-    assert high_multiplicity_values(f, a, 2) == (Fraction(16),)
-    assert high_multiplicity_values(f, a, 3) == ()
-    assert high_multiplicity_values(f, a, len(a) ** 2) == ()
+        audit_vanishing_subsums(parse_poly("x^2*y^3"), make_set([1, 2]))
 
 
 def test_audit_consistent_on_random_set():
@@ -168,14 +142,11 @@ def test_subsum_paths_cap_the_support():
     at_cap = parse_poly(all_monomials(5) + " - x^5")
     assert len(at_cap.support) == 20
     assert audit_vanishing_subsums(at_cap, a).total_pairs() == 4
-    assert split_solutions(at_cap, a, Fraction(2)).multiplicity == 0
     for degree, terms in ((5, 21), (8, 45)):
         f = parse_poly(all_monomials(degree))
         # The term cap is checked before the pair budget, so max_pairs=1 is never reached.
         with pytest.raises(CapExceeded, match=f"needs {terms} terms, above the cap of 20"):
             audit_vanishing_subsums(f, a, max_pairs=1)
-        with pytest.raises(CapExceeded, match=f"needs {terms} terms, above the cap of 20"):
-            split_solutions(f, a, Fraction(0), max_pairs=1)
 
 
 def test_injectivity_single_generator():

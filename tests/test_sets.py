@@ -150,7 +150,7 @@ def test_image_matches_histogram_keys():
     for _ in range(10):
         a = random_set(rng, max_size=8)
         f = random_poly(rng, max_degree=3)
-        assert image_set(f, a) == multiplicity_histogram(f, a).image()
+        assert image_set(f, a).elements == tuple(multiplicity_histogram(f, a).counts)
 
 
 def test_histogram_product_example():
@@ -179,7 +179,7 @@ def test_histogram_counts_sum_to_square():
     for _ in range(15):
         a = random_set(rng, max_size=10)
         f = random_poly(rng, max_degree=4)
-        assert multiplicity_histogram(f, a).total_pairs() == len(a) ** 2
+        assert sum(multiplicity_histogram(f, a).counts.values()) == len(a) ** 2
 
 
 def test_energy_examples():
