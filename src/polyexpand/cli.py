@@ -27,10 +27,11 @@ from .lab import (
 )
 from .polynomials import PolyParseError, format_monomial, parse_poly
 from .polynomials import classify_monomial_composition, non_parallel_witnesses
-from .rational import RationalParseError, format_rational
-from .sets import (
+from .rational import RationalParseError, format_key, format_rational
+from .sets import (  # noqa: F401 - bench/test_bench.py reads cli.image_set
     DEFAULT_MAX_PAIRS,
     CapExceeded,
+    image_keys,
     image_set,
     productset_size,
     read_set_file,
@@ -135,16 +136,16 @@ def cmd_classify(args: argparse.Namespace) -> Result:
 def cmd_image(args: argparse.Namespace) -> Result:
     f = parse_poly(args.poly)
     a = read_set_file(args.set_path)
-    b = read_set_file(args.set2_path) if args.set2_path else None
-    image = image_set(f, a, b, max_pairs=args.max_pairs)
-    values = [format_rational(v) for v in image]
+    b = read_set_file(args.set2_path) if args.set2_path else a
+    scale, keys = image_keys(f, a, b, args.max_pairs)
+    values = [format_key(k, scale) for k in keys]
     payload = {
         "command": "image",
         "polynomial": str(f),
-        "size": len(image),
+        "size": len(values),
         "values": values,
     }
-    lines = [f"size = {len(image)}", f"values = {{{', '.join(values)}}}"]
+    lines = [f"size = {len(values)}", f"values = {{{', '.join(values)}}}"]
     return EXIT_OK, payload, lines
 
 
@@ -356,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         RationalParseError,
         ExceptionalPolynomialError,
         DistinctnessError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -238,21 +238,20 @@ def audit_injectivity(
             f"products of {g.describe()} dilated by {t} collide; "
             "exponent vectors do not determine values"
         )
-    # The box's products are distinct, so each value has one exponent vector.
+    # Products are distinct, so mus holds one exponent vector per box element.
     vectors = {x: mu for mu, x in ggp_enumerate(g, 1, max_pairs)}
     box = make_set(vectors)
+    mus = [vectors[x] for x in box]
     # The term columns of x^i y^j + x^i' y^j' are the two monomial values,
     # each times a positive constant: equal int pairs mean equal value pairs.
     monomials = BivariatePoly({(i, j): 1, (i2, j2): 1})
     _, rows = _pair_rows(monomials, box, box, max_pairs, "injectivity audit")
     seen: set[tuple[int, ...]] = set()
-    for x, columns in zip(box, rows):
-        mu = vectors[x]
-        for y, pair_of_values in zip(box, zip(*columns)):
+    for mu, columns in zip(mus, rows):
+        for nu, pair_of_values in zip(mus, zip(*columns)):
             if pair_of_values in seen:
                 return False
             seen.add(pair_of_values)
-            nu = vectors[y]
             t1 = tuple(i * mk + j * nk for mk, nk in zip(mu, nu))
             t2 = tuple(i2 * mk + j2 * nk for mk, nk in zip(mu, nu))
             if solve_exponent_system((i, j), (i2, j2), t1, t2) != (mu, nu):

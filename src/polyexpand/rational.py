@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FRACTION_RE = re.compile(r"([+-]?\d+)/(\d+)\Z")
@@ -42,6 +43,10 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical text form: ``"p/q"``, or just ``"p"`` for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_key(value.numerator, value.denominator)
+
+
+def format_key(key: int, scale: int) -> str:
+    """The text of ``Fraction(key, scale)`` for ``scale > 0``, built with no Fraction."""
+    g = gcd(key, scale)
+    return str(key // g) if g == scale else f"{key // g}/{scale // g}"

@@ -4,10 +4,11 @@ Sumsets, product sets, polynomial image sets, multiplicity histograms and
 polynomial energies all walk the |A| x |B| pair space through one integer
 kernel (``_pair_rows``). Clearing denominators once turns every value f(x, y)
 into an int key scale*f(x, y) with a fixed scale > 0, so dedup, counts,
-energies, sort order and vanishing subsums are exact on plain ints; Fractions
-are built only for the distinct values a caller asks for. Energies cost
-O(|A|^2) pair work rather than O(|A|^4) quadruple work, and nothing here
-touches floating point.
+energies, sort order and vanishing subsums are exact on plain ints. Counts
+take one column per power of y and build no Fraction; ``image_keys`` returns
+the sorted keys, which the CLI prints without one, and set files are sorted
+on int keys too. Energies cost O(|A|^2) pair work rather than O(|A|^4)
+quadruple work, and nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -69,15 +70,16 @@ class RationalSet:
 
 
 def make_set(values: Iterable[Fraction | int]) -> RationalSet:
-    """Sort and deduplicate exact values into a RationalSet."""
-    out = set()
+    """Sort and deduplicate exact values into a RationalSet, on int keys."""
+    out = []
     for value in values:
         if isinstance(value, float):
             raise TypeError("floats are not exact; parse a decimal string instead")
-        out.add(Fraction(value))
+        out.append(value if type(value) is Fraction else Fraction(value))
     if not out:
         raise ValueError("cannot build a set from no values")
-    return RationalSet(tuple(sorted(out)))
+    d = lcm(*[v.denominator for v in out])
+    return _values(d, sorted({v.numerator * (d // v.denominator) for v in out}))
 
 
 def read_set_file(path: str | Path) -> RationalSet:
@@ -102,7 +104,8 @@ PRODUCT = BivariatePoly({(1, 1): 1})
 
 
 def _pair_rows(
-    f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str
+    f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str,
+    merge: bool = False,
 ) -> tuple[int, Iterator[list[list[int]]]]:
     """The scale of f's int keys and, per x in a, its int term columns over b.
 
@@ -110,7 +113,8 @@ def _pair_rows(
     coefficients, F(X, Y) = L*D^deg*f(X/D, Y/D) has the integer coefficients
     C = L*c*D^(deg-i-j). Column k of x's row holds C_k*X^i_k*Y^j_k for every
     y in b, with X = D*x and Y = D*y, so the columns sum to scale*f(x, y) for
-    scale = L*D^deg > 0, and v -> scale*v is injective and increasing. The
+    scale = L*D^deg > 0, and v -> scale*v is injective and increasing. With
+    merge, the terms that share a power of Y share one column. The
     budget is checked first; the zero polynomial has one all-zero column.
     """
     check_budget(len(a) * len(b), max_pairs, what)
@@ -128,7 +132,10 @@ def _pair_rows(
     def rows() -> Iterator[list[list[int]]]:
         for x in a:
             big_x = x.numerator * (d // x.denominator)
-            yield [[c * big_x**i * p for p in y_pows[j]] for c, i, j in cleared]
+            row = [(j, c * big_x**i) for c, i, j in cleared]  # once per x, not per y
+            if merge:
+                row = [(j, sum(k for jk, k in row if jk == j)) for j in y_pows]
+            yield [list(map(k.__mul__, y_pows[j])) for j, k in row]
 
     return coeff_lcm * d**degree, rows()
 
@@ -137,7 +144,7 @@ def _key_counts(
     f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str
 ) -> tuple[int, Counter]:
     """The scale of f's int keys and the number of pairs behind each key."""
-    scale, rows = _pair_rows(f, a, b, max_pairs, what)
+    scale, rows = _pair_rows(f, a, b, max_pairs, what, merge=True)
     counts: Counter = Counter()
     for columns in rows:
         keys = columns[0]
@@ -148,10 +155,11 @@ def _key_counts(
 
 
 def _values(scale: int, keys: Iterable[int]) -> RationalSet:
-    """The values key/scale, ascending. Distinct keys over one positive scale
-    give strictly increasing values, so the set is built without the check."""
+    """The values key/scale of ascending distinct keys, built without the check."""
+    # A tuple grown from a generator resizes as it goes; in make_set too, tuples
+    # come from lists, since the resizing raised the peak RSS of long runs.
     out = object.__new__(RationalSet)
-    object.__setattr__(out, "elements", tuple(Fraction(k, scale) for k in sorted(keys)))
+    object.__setattr__(out, "elements", tuple([Fraction(k, scale) for k in keys]))
     return out
 
 
@@ -159,14 +167,14 @@ def sumset(
     a: RationalSet, b: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> RationalSet:
     """{x + y : x in a, y in b}, deduplicated."""
-    return _values(*_key_counts(SUM, a, b, max_pairs, "sumset"))
+    return image_set(SUM, a, b, max_pairs)
 
 
 def productset(
     a: RationalSet, b: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> RationalSet:
     """{x * y : x in a, y in b}, deduplicated."""
-    return _values(*_key_counts(PRODUCT, a, b, max_pairs, "product set"))
+    return image_set(PRODUCT, a, b, max_pairs)
 
 
 def productset_size(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
@@ -179,6 +187,14 @@ def doubling_ratio(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> Fracti
     return Fraction(productset_size(a, max_pairs), len(a))
 
 
+def image_keys(
+    f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int
+) -> tuple[int, list[int]]:
+    """The scale and the ascending distinct int keys of f over a x b: f(a, b) is key/scale."""
+    scale, counts = _key_counts(f, a, b, max_pairs, "image enumeration")
+    return scale, sorted(counts)
+
+
 def image_set(
     f: BivariatePoly,
     a: RationalSet,
@@ -186,8 +202,7 @@ def image_set(
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> RationalSet:
     """The set of distinct values f(x, y) over a x b (b defaults to a)."""
-    b = a if b is None else b
-    return _values(*_key_counts(f, a, b, max_pairs, "image enumeration"))
+    return _values(*image_keys(f, a, a if b is None else b, max_pairs))
 
 
 @dataclass(frozen=True)

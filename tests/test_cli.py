@@ -214,6 +214,18 @@ def test_sweep_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["structure", "image", "sweep"])
+def test_directory_path_exits_2(command, set_file, tmp_path, capsys):
+    argv = {
+        "structure": ["structure", "--set", str(tmp_path)],
+        "image": ["image", "--poly", "x + y", "--set", set_file, "--set2", str(tmp_path)],
+        "sweep": ["sweep", "--poly", "x + y", "--family", f"files:{tmp_path}", "--N", "1"],
+    }[command]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+
 def test_sweep_cap_exit_3(capsys):
     code, _, err = run_cli(
         [

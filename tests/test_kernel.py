@@ -28,11 +28,13 @@ from polyexpand import (
     image_set,
     make_set,
     multiplicity_histogram,
+    parse_poly,
     productset,
     productset_size,
     sumset,
     value_multiplicities,
 )
+from polyexpand.sets import image_keys
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
@@ -136,3 +138,34 @@ def test_many_coprime_denominators(count):
     f = BivariatePoly({(2, 1): Fraction(3, 2), (0, 3): -1, (1, 0): Fraction(1, 7)})
     assert image_set(f, a).elements == reference.image_values(f, a)
     assert energy(f, a) == reference.energy(f, a)
+
+
+# Supports in which most terms share a power of y with another, j = 0 and a
+# constant term included: the count path sums such terms into one column.
+shared_y_supports = st.lists(
+    st.sampled_from([(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (0, 1), (1, 2)]),
+    min_size=2, max_size=6, unique=True,
+)
+
+
+@SETTINGS
+@given(shared_y_supports, st.data(), sets, sets)
+def test_terms_sharing_a_power_of_y_match_reference(support, data, a, b):
+    f = BivariatePoly({pair: data.draw(coefficients) for pair in support})
+    expected = reference.image_values(f, a)
+    scale, keys = image_keys(f, a, a, 10**6)
+    assert tuple(Fraction(k, scale) for k in keys) == expected
+    assert image_set(f, a).elements == expected
+    assert image_set(f, a, b).elements == reference.image_values(f, a, b)
+    assert energy(f, a) == reference.energy(f, a)
+    assert sorted(value_multiplicities(f, a)) == sorted(reference.histogram(f, a).values())
+
+
+def test_shared_powers_of_y_with_a_constant_term():
+    a = make_set([Fraction(-2, 3), 0, Fraction(1, 2), 1, Fraction(5, 4)])
+    f = parse_poly("x^3*y - 2/3*x*y + y + x^2 - 5/2*x + 7/4")
+    assert image_set(f, a).elements == reference.image_values(f, a)
+    assert energy(f, a) == reference.energy(f, a)
+    assert list(multiplicity_histogram(f, a).counts.items()) == list(
+        reference.histogram(f, a).items()
+    )

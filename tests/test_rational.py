@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyexpand import RationalParseError, format_rational, parse_rational
+from polyexpand.rational import format_key
 
 
 def test_fractions_reduce():
@@ -59,3 +60,23 @@ def test_format_parse_round_trip(q):
 @given(st.integers())
 def test_integer_round_trip(n):
     assert parse_rational(str(n)) == Fraction(n)
+
+
+# A key and a scale sharing the factor `common`: zero, negative keys, scale 1
+# and scales of several hundred bits, as the image kernel produces them.
+keys = st.one_of(st.just(0), st.integers(-(2**64), 2**64), st.integers(-(2**700), 2**700))
+scales = st.one_of(st.just(1), st.integers(1, 2**64), st.integers(2**300, 2**700))
+commons = st.one_of(st.just(1), st.sampled_from([2**200, 3**150 * 5**40]), st.integers(1, 10**6))
+
+
+@given(keys, scales, commons)
+def test_format_key_matches_format_rational(key, scale, common):
+    for k, s in ((key, scale), (key * common, scale * common)):
+        assert format_key(k, s) == format_rational(Fraction(k, s))
+
+
+def test_format_key_examples():
+    assert format_key(0, 12) == "0"
+    assert format_key(-6, 4) == "-3/2"
+    assert format_key(-8, 4) == "-2"
+    assert format_key(7, 1) == "7"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genutil import random_poly, random_set
 from polyexpand import (
@@ -14,6 +16,7 @@ from polyexpand import (
     make_set,
     multiplicity_histogram,
     parse_poly,
+    parse_rational,
     productset,
     read_set_file,
     sumset,
@@ -56,6 +59,38 @@ def test_make_set_rejects_empty():
 def test_make_set_rejects_floats():
     with pytest.raises(TypeError):
         make_set([0.5])
+
+
+def spellings(q):
+    """Texts parse_rational reads as q: p/q, a scaled p/q and, when q is
+    a finite decimal, the decimal."""
+    texts = [f"{q.numerator}/{q.denominator}", f"{3 * q.numerator}/{3 * q.denominator}"]
+    digits = 0
+    while (q * 10**digits).denominator != 1 and digits < 6:
+        digits += 1
+    if (q * 10**digits).denominator == 1:
+        scaled = abs(q.numerator) * 10**digits // q.denominator
+        sign = "-" if q < 0 else ""
+        whole, frac = divmod(scaled, 10**digits)
+        texts.append(f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}")
+    return texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), min_size=1),
+    st.randoms(use_true_random=False),
+)
+def test_make_set_matches_fraction_sort(fractions, rng):
+    values = [parse_rational(text) for q in fractions for text in spellings(q)]
+    values += [int(q) for q in fractions if q.denominator == 1]
+    rng.shuffle(values)
+    assert make_set(values).elements == tuple(sorted(set(map(Fraction, values))))
+
+
+def test_make_set_merges_spellings():
+    values = [parse_rational(t) for t in ("0.5", "2/4", "-3", "1/2", "0", "-6/2")]
+    assert make_set(values).elements == (Fraction(-3), Fraction(0), Fraction(1, 2))
 
 
 def test_rational_set_enforces_order():
