@@ -179,18 +179,11 @@ def audit_vanishing_subsums(
     # Term values and their sums are ints scaled by the same scale > 0, so
     # vanishing subsums, equal values and the value order are all exact.
     scale, rows = _pair_rows(f, a, a, max_pairs, "subsum audit")
+    # table[key] = [clean, dirty]; key 0 is the value 0.
     table: dict[int, list[int]] = {}
-    zero_full_sum = 0
     for columns in rows:
         for values in zip(*columns):
-            total = sum(values)
-            entry = table.setdefault(total, [0, 0])
-            if zero_proper_subset_exists(values):
-                entry[1] += 1
-            else:
-                entry[0] += 1
-                if total == 0:
-                    zero_full_sum += 1
+            table.setdefault(sum(values), [0, 0])[zero_proper_subset_exists(values)] += 1
     degree = f.degree
     support_size = len(f.support)
     dirty_bound = degree * degree * 2**support_size
@@ -213,7 +206,7 @@ def audit_vanishing_subsums(
         threshold=tau,
         high_multiplicity=high,
         theoretical_threshold_log10=bound_log10(comb(degree + 2, 2), k_floor),
-        zero_value_full_sum_solutions=zero_full_sum,
+        zero_value_full_sum_solutions=table.get(0, [0, 0])[0],
     )
 
 

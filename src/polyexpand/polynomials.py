@@ -9,12 +9,16 @@ and iteration are deterministic. The text grammar (whitespace-insensitive):
     factor := ("x"|"y") ("^" uint)?
     coef   := uint ("/" uint)? | decimal
 
-A leading "-" negates the first term; a missing exponent means 1. Printing
-emits text this grammar accepts, so parse(str(f)) == f.
+A uint is a run of decimal digits (str.isdecimal). The parser finds each
+coef's extent and reports its errors with a position; the literal itself
+is read by rational.parse_rational. A leading "-" negates the first term;
+a missing exponent means 1. Printing emits text this grammar accepts, so
+parse(str(f)) == f.
 
 Beyond parsing and evaluation, this module decides whether a polynomial is
 a univariate polynomial composed with a single monomial, f = g(x^a y^b),
-and provides the vanishing-subsum machinery: a proper subsum of f at a
+which holds exactly when no two support exponents are non-parallel, and
+provides the vanishing-subsum machinery: a proper subsum of f at a
 point (x, y) is the sum of the term values over a nonempty proper subset
 of the support.
 """
@@ -22,7 +26,6 @@ of the support.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +33,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import NoReturn
 
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 
 ExponentPair = tuple[int, int]
 
@@ -233,77 +236,58 @@ class _PolyParser:
 
     def term(self) -> tuple[ExponentPair, Fraction]:
         self.skip_ws()
-        head = self.peek()
-        i = j = 0
-        if head.isdigit() or head == ".":
-            coefficient = self.coefficient()
-        elif head in ("x", "y"):
-            coefficient = Fraction(1)
-            di, dj = self.factor()
-            i, j = i + di, j + dj
-        elif head.isalpha():
-            self.fail(f"unknown variable {head!r} (only x and y are allowed)")
+        exponents = [0, 0]
+        # missing: the error if the next factor is absent; None once it is optional.
+        if self.peek().isdecimal() or self.peek() == ".":
+            coefficient, missing = self.coefficient(), None
         else:
-            self.fail("expected a term")
+            coefficient, missing = Fraction(1), "expected a term"
         while True:
-            self.skip_ws()
-            if self.peek() != "*":
-                break
+            if missing is None:
+                self.skip_ws()
+                if self.peek() != "*":
+                    return (exponents[0], exponents[1]), coefficient
+                self.pos += 1
+                self.skip_ws()
+                missing = "expected a variable factor after '*'"
+            variable = self.peek()
+            if not variable or variable not in "xy":
+                if variable.isalpha():
+                    self.fail(f"unknown variable {variable!r} (only x and y are allowed)")
+                self.fail(missing)
             self.pos += 1
-            self.skip_ws()
-            nxt = self.peek()
-            if nxt in ("x", "y") and nxt:
-                di, dj = self.factor()
-                i, j = i + di, j + dj
-            elif nxt.isalpha():
-                self.fail(f"unknown variable {nxt!r} (only x and y are allowed)")
-            else:
-                self.fail("expected a variable factor after '*'")
-        return (i, j), coefficient
+            exponent = 1
+            if self.peek() == "^":
+                self.pos += 1
+                digits = self.digits()
+                if not digits:
+                    self.fail("exponent must be an unsigned integer")
+                exponent = int(digits)
+            exponents["xy".index(variable)] += exponent
+            missing = None
 
-    def factor(self) -> ExponentPair:
-        variable = self.peek()
-        self.pos += 1
-        exponent = 1
-        if self.peek() == "^":
-            self.pos += 1
-            if not self.peek().isdigit():
-                self.fail("exponent must be an unsigned integer")
-            exponent = self.uint()
-        return (exponent, 0) if variable == "x" else (0, exponent)
-
-    def uint(self) -> int:
+    def digits(self) -> str:
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
-        if start == self.pos:
-            self.fail("expected digits")
-        return int(self.text[start : self.pos])
+        return self.text[start : self.pos]
 
     def coefficient(self) -> Fraction:
-        integer_digits = ""
-        while self.peek().isdigit():
-            integer_digits += self.peek()
-            self.pos += 1
+        """Find the literal's extent, with positioned errors; parse_rational reads it."""
+        start = self.pos
+        integer_digits = self.digits()
         if self.peek() == ".":
             self.pos += 1
-            fraction_digits = ""
-            while self.peek().isdigit():
-                fraction_digits += self.peek()
-                self.pos += 1
-            if not integer_digits and not fraction_digits:
+            if not self.digits() and not integer_digits:
                 self.fail("expected digits in decimal")
-            scale = 10 ** len(fraction_digits)
-            return Fraction(int((integer_digits or "0") + fraction_digits), scale)
-        if self.peek() == "/":
+        elif self.peek() == "/":
             self.pos += 1
-            if not self.peek().isdigit():
+            denominator = self.digits()
+            if not denominator:
                 self.fail("expected a denominator")
-            denominator = self.uint()
-            if denominator == 0:
+            if int(denominator) == 0:
                 self.fail("zero denominator")
-            return Fraction(int(integer_digits), denominator)
-        return Fraction(int(integer_digits))
+        return parse_rational(self.text[start : self.pos])
 
 
 def parse_poly(text: str) -> BivariatePoly:
@@ -326,55 +310,41 @@ def compose(g: UnivariatePoly, monomial: ExponentPair) -> BivariatePoly:
 def classify_monomial_composition(f: BivariatePoly) -> MonomialDecomposition | None:
     """Decide whether f = g(x^a y^b) for a univariate g and single monomial.
 
-    Returns a decomposition exactly when every nonconstant support vector is
-    an integer multiple of one primitive direction p. The monomial is D*p
-    where D is the gcd of the multipliers, which makes it maximal: the
-    degrees of g's nonconstant terms have gcd 1, and compose(g, monomial)
-    reproduces f term for term. Constants and single monomials decompose
-    trivially and carry the trivial flag.
+    Returns None exactly when non_parallel_witnesses(f) finds a pair.
+    Otherwise every support vector is a multiple of one direction, and the
+    monomial (a, b) = (gcd of the x exponents, gcd of the y exponents) is
+    maximal: the term (i, j) = k*(a, b) is g's t^k term, the degrees of
+    g's nonconstant terms have gcd 1, and compose(g, monomial) reproduces f
+    term for term. Constants and single monomials decompose trivially and
+    carry the trivial flag.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial cannot be classified")
-    constant = f.terms.get((0, 0), Fraction(0))
-    powers = [(pair, c) for pair, c in f.terms.items() if pair != (0, 0)]
-    if not powers:
-        return MonomialDecomposition(UnivariatePoly([constant]), (0, 0), trivial=True)
-    direction: ExponentPair | None = None
-    multipliers: list[int] = []
-    for (i, j), _ in powers:
-        k = gcd(i, j)
-        primitive = (i // k, j // k)
-        if direction is None:
-            direction = primitive
-        elif primitive != direction:
-            return None
-        multipliers.append(k)
-    shared = 0
-    for k in multipliers:
-        shared = gcd(shared, k)
-    monomial = (direction[0] * shared, direction[1] * shared)
-    coefficients = [Fraction(0)] * (max(multipliers) // shared + 1)
-    coefficients[0] = constant
-    for (pair, c), k in zip(powers, multipliers):
-        coefficients[k // shared] = c
-    return MonomialDecomposition(
-        UnivariatePoly(coefficients), monomial, trivial=len(f.terms) == 1
-    )
+    if non_parallel_witnesses(f) is not None:
+        return None
+    a = b = 0
+    for i, j in f.terms:
+        a, b = gcd(a, i), gcd(b, j)
+    step = a + b or 1
+    powers = {(i + j) // step: c for (i, j), c in f.terms.items()}
+    g = UnivariatePoly(powers.get(k, 0) for k in range(max(powers) + 1))
+    return MonomialDecomposition(g, (a, b), trivial=len(f.terms) == 1)
 
 
 def non_parallel_witnesses(f: BivariatePoly) -> tuple[ExponentPair, ExponentPair] | None:
     """First support pair (graded-lex order) with i*j' - j*i' != 0, if any.
 
-    Such a pair exists exactly when classify_monomial_composition returns
-    None; (0, 0) is parallel to everything and is never a witness.
+    (0, 0) is parallel to everything and is never a witness. Once the first
+    nonzero support vector has no witness partner, every later vector is
+    parallel to it, so the search stops after that row.
     """
     support = f.support
-    for a in range(len(support)):
-        i, j = support[a]
-        for b in range(a + 1, len(support)):
-            i2, j2 = support[b]
-            if i * j2 - j * i2 != 0:
-                return (support[a], support[b])
+    for a, (i, j) in enumerate(support):
+        for other in support[a + 1 :]:
+            if i * other[1] - j * other[0] != 0:
+                return support[a], other
+        if i or j:
+            break
     return None
 
 
@@ -390,23 +360,16 @@ def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
     """Does any nonempty proper subset of values sum to zero?
 
     Meet in the middle: both halves' subset sums are enumerated and joined
-    by hash, excluding the empty/empty and full/full combinations, so the
-    cost is O(2^(n/2)) instead of O(2^n).
+    by hash to count the zero-sum subsets in O(2^(n/2)) instead of O(2^n).
+    The empty subset is always one of them, and the full set is one when
+    the whole sum vanishes; any further one is proper and nonempty.
     """
     half = len(values) // 2
-    left_sums = _mask_sums(values[:half])
-    right_sums = _mask_sums(values[half:])
-    right_counts = Counter(right_sums)
-    left_full = len(left_sums) - 1
-    right_full_sum = right_sums[-1]
-    for mask, s in enumerate(left_sums):
-        matches = right_counts.get(-s, 0)
-        if not matches:
-            continue
-        if mask == 0 and s == 0:
-            matches -= 1
-        if mask == left_full and -s == right_full_sum:
-            matches -= 1
-        if matches > 0:
-            return True
-    return False
+    # A plain dict: on 5-8 term values, Counter's setup costs more than the count.
+    right_counts: dict[Fraction | int, int] = {}
+    for s in _mask_sums(values[half:]):
+        right_counts[s] = right_counts.get(s, 0) + 1
+    count = 0
+    for s in _mask_sums(values[:half]):
+        count += right_counts.get(-s, 0)
+    return count > 1 + (sum(values) == 0)

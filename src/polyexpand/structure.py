@@ -266,10 +266,13 @@ def amoroso_viada_bound(n: int, r: int) -> BoundValue:
         raise ValueError("n must be a positive integer")
     if r < 0:
         raise ValueError("r must be a non-negative integer")
-    log10 = bound_log10(n, r)
-    check_budget(math.floor(log10) + 1, MAX_BOUND_DIGITS, "the bound value", "digits", None)
     exponent = 4 * n**4 * (n + n * r + 1)
-    return BoundValue(n=n, r=r, value=(8 * n) ** exponent, log10=log10)
+    try:
+        digits = math.floor(bound_log10(n, r)) + 1
+    except OverflowError:  # past float range: multiply by log10(8n) as a Fraction
+        digits = math.floor(exponent * Fraction(math.log10(8 * n))) + 1
+    check_budget(digits, MAX_BOUND_DIGITS, "the bound value", "digits", None)
+    return BoundValue(n=n, r=r, value=(8 * n) ** exponent, log10=bound_log10(n, r))
 
 
 def bound_log10(n: int, r: int) -> float:

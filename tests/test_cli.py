@@ -286,6 +286,18 @@ def test_bound_above_digit_cap_exit_3():
     assert "170687052 digits" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "n,r", [("1" + "0" * 83, "0"), ("1", "7" * 400)], ids=["huge-n", "huge-r"]
+)
+def test_bound_past_float_range_exit_3(n, r, capsys):
+    # the digit count of (8n)^(4n^4(n+nr+1)) does not fit a float here;
+    # the cap must still refuse it instead of raising OverflowError
+    code, out, err = run_cli(["bound", "--n", n, "--r", r], capsys)
+    assert code == 3
+    assert out == ""
+    assert "digit budget exceeded: the bound value needs" in err
+
+
 def test_audit_above_support_cap_exit_3(set_file):
     # 45 terms would cost about 2^22 subsum entries per pair, far more than
     # the child's 2 s of CPU, so only a refusal before the walk exits 3.

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from genutil import (
@@ -93,6 +93,10 @@ def test_parse_zero():
         ("x + ", 4),
         ("x^-2", 2),
         ("x*", 2),
+        # superscripts pass str.isdigit but not int(): only decimal digits count
+        ("x^\u00b2", 2),
+        ("\u00b2*x", 0),
+        ("2*x^\u00b3", 4),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
@@ -213,6 +217,51 @@ def test_zero_subset_detector_against_adversarial_values():
             for combo in itertools.combinations(range(size), r)
         )
         assert zero_proper_subset_exists(values) == expected, values
+
+
+_SUBSUM_INTS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=2**64, max_value=2**64 + 3),
+    st.integers(min_value=-(2**64) - 3, max_value=-(2**64)),
+)
+
+
+@st.composite
+def subsum_lists(draw):
+    values = draw(st.lists(_SUBSUM_INTS, max_size=12))
+    if len(values) <= 10 and draw(st.booleans()):
+        c = draw(_SUBSUM_INTS)
+        values += [c, -c]
+    return draw(st.permutations(values))
+
+
+@given(subsum_lists())
+def test_zero_subset_detector_matches_combinations(values):
+    expected = any(
+        sum(combo) == 0
+        for size in range(1, len(values))
+        for combo in itertools.combinations(values, size)
+    )
+    assert zero_proper_subset_exists(values) == expected
+
+
+@st.composite
+def composed_or_perturbed(draw):
+    coefficients = draw(st.lists(st.integers(min_value=-3, max_value=3), max_size=5))
+    monomial = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    f = compose(UnivariatePoly(coefficients), monomial)
+    extra = draw(st.one_of(st.just(BivariatePoly({})), poly_strategy(max_degree=4, max_terms=2)))
+    return BivariatePoly([*f.terms.items(), *extra.terms.items()])
+
+
+@given(st.one_of(poly_strategy(), composed_or_perturbed()))
+def test_classify_agrees_with_witnesses(f):
+    assume(not f.is_zero)
+    decomposition = classify_monomial_composition(f)
+    assert (decomposition is None) == (non_parallel_witnesses(f) is not None)
+    if decomposition is not None:
+        assert compose(decomposition.g, decomposition.monomial) == f
+        assert decomposition.trivial == (len(f.terms) == 1)
 
 
 def test_classify_single_monomial_is_trivial():
