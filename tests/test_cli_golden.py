@@ -4,8 +4,9 @@
 was built once and output printed from one place, so these cases pin the
 bytes that rework had to keep. Argv entries `{A}`, `{B}`, `{S}`, `{U}` and
 `{V}` name the set files written below. `{U}` is unsorted and spells 1/2
-three ways, and `{V}` has other denominators; the case that reads them was
-recorded before set files were sorted on integer keys. A case with a
+three ways, and `{V}` has other denominators; the image case that reads
+them was recorded before set files were sorted on integer keys, and the
+audit cases on `{V}` before audits printed from integer keys. A case with a
 `patch` wraps one library call seen by the CLI so that it reports a
 falsified bound, which exercises the exit-4 output that correct code never
 reaches.
