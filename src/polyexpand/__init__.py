@@ -20,7 +20,6 @@ from .lab import (
     FileFamily,
     GeometricFamily,
     GGPFamily,
-    SolutionSplit,
     SweepRow,
     audit_injectivity,
     audit_vanishing_subsums,
@@ -91,7 +90,6 @@ __all__ = [
     "PolyParseError",
     "RationalParseError",
     "RationalSet",
-    "SolutionSplit",
     "SweepRow",
     "UnivariatePoly",
     "amoroso_viada_bound",

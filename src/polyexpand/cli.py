@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .lab import (
@@ -206,19 +207,17 @@ def cmd_audit(args: argparse.Namespace) -> Result:
         report = audit_vanishing_subsums(
             f, a, threshold=args.threshold, max_pairs=args.max_pairs
         )
-        # Looking values up by Fraction would hash them, which costs more
-        # than formatting; each list is formatted once and used twice.
-        high = [format_rational(v) for v in report.high_multiplicity]
+        high = [format_key(k, report.scale) for k in report.high_multiplicity]
         table = [
-            {"value": format_rational(s.value), "clean": s.clean, "dirty": s.dirty}
-            for s in report.splits
+            {"value": format_key(k, report.scale), "clean": c, "dirty": d}
+            for k, c, d in report.table
         ]
         payload["subsum_audit"] = {
             "degree": report.degree,
             "support_size": report.support_size,
-            "pairs": report.total_pairs(),
+            "pairs": report.pairs,
             "dirty_bound": report.dirty_bound,
-            "bad_values": [format_rational(v) for v in report.bad_values],
+            "bad_values": [format_key(k, report.scale) for k in report.bad_values],
             "max_bad_values": report.max_bad_values,
             "consistent": report.consistent,
             "threshold": report.threshold,
@@ -229,7 +228,7 @@ def cmd_audit(args: argparse.Namespace) -> Result:
         }
         lines += [
             f"subsum audit: degree = {report.degree}, support = {report.support_size}, "
-            f"pairs = {report.total_pairs()}",
+            f"pairs = {report.pairs}",
             f"  dirty bound = {report.dirty_bound}, values above it = "
             f"{len(report.bad_values)} (allowed {report.max_bad_values})",
             f"  high multiplicity (> {report.threshold}): {high}",
@@ -319,20 +318,19 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
 
 def cmd_bound(args: argparse.Namespace) -> Result:
     bound = amoroso_viada_bound(args.n, args.r)
-    digits = int(bound.log10) + 10
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), digits))
+    # Decimal prints past the int-to-str digit limit, which stays in force for parsing.
+    value = str(Decimal(bound.value))
     payload = {
         "command": "bound",
         "n": bound.n,
         "r": bound.r,
-        "value": str(bound.value),
+        "value": value,
         "log10": bound.log10,
     }
     lines = [
         f"n = {bound.n}",
         f"r = {bound.r}",
-        f"value = {bound.value}",
+        f"value = {value}",
         f"log10 = {bound.log10:.6g}",
     ]
     return EXIT_OK, payload, lines

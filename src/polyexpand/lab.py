@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from operator import itemgetter
 from pathlib import Path
 
 from .polynomials import (
@@ -65,25 +66,14 @@ class DistinctnessError(ValueError):
 
 
 @dataclass(frozen=True)
-class SolutionSplit:
-    """Clean/dirty counts for the solutions of f(x, y) = value in A x A."""
-
-    value: Fraction
-    clean: int
-    dirty: int
-
-    @property
-    def multiplicity(self) -> int:
-        return self.clean + self.dirty
-
-
-@dataclass(frozen=True)
 class AuditReport:
     """Per-value solution splits with the audited dirty-count bound.
 
-    bad_values lists the values whose dirty count exceeds dirty_bound
+    A table row (k, clean, dirty) splits the solutions in A x A of
+    f(x, y) = k/scale, for scale > 0; keys ascend, and pairs = |A|^2.
+    bad_values lists the keys whose dirty count exceeds dirty_bound
     (= degree^2 * 2^support_size); consistent requires at most degree + 1
-    of them. high_multiplicity lists values with more than threshold total
+    of them. high_multiplicity lists keys with more than threshold total
     solutions. theoretical_threshold_log10 is the log10 of the worst-case
     threshold amoroso_viada_bound(binom(degree+2, 2), floor(doubling)),
     far too large to be informative directly but reported for context.
@@ -94,18 +84,17 @@ class AuditReport:
 
     degree: int
     support_size: int
-    splits: tuple[SolutionSplit, ...]
+    scale: int
+    table: tuple[tuple[int, int, int], ...]
+    pairs: int
     dirty_bound: int
-    bad_values: tuple[Fraction, ...]
+    bad_values: tuple[int, ...]
     max_bad_values: int
     consistent: bool
     threshold: int
-    high_multiplicity: tuple[Fraction, ...]
+    high_multiplicity: tuple[int, ...]
     theoretical_threshold_log10: float
     zero_value_full_sum_solutions: int
-
-    def total_pairs(self) -> int:
-        return sum(split.multiplicity for split in self.splits)
 
 
 @dataclass(frozen=True)
@@ -136,6 +125,10 @@ class ExpansionReport:
     polynomial: str
     rows: tuple[SweepRow, ...]
     growth_exponent: float | None
+
+
+def _max_elements(max_pairs: int) -> int:
+    return max(1, isqrt(max_pairs))
 
 
 def _require_nonzero(f: BivariatePoly) -> None:
@@ -179,34 +172,32 @@ def audit_vanishing_subsums(
     # Term values and their sums are ints scaled by the same scale > 0, so
     # vanishing subsums, equal values and the value order are all exact.
     scale, rows = _pair_rows(f, a, a, max_pairs, "subsum audit")
-    # table[key] = [clean, dirty]; key 0 is the value 0.
-    table: dict[int, list[int]] = {}
+    # counts[key] = [clean, dirty]; key 0 is the value 0.
+    counts: dict[int, list[int]] = {}
     for columns in rows:
         for values in zip(*columns):
-            table.setdefault(sum(values), [0, 0])[zero_proper_subset_exists(values)] += 1
+            counts.setdefault(sum(values), [0, 0])[zero_proper_subset_exists(values)] += 1
     degree = f.degree
     support_size = len(f.support)
     dirty_bound = degree * degree * 2**support_size
     tau = dirty_bound if threshold is None else threshold
-    splits = tuple(
-        SolutionSplit(value=Fraction(k, scale), clean=c, dirty=d)
-        for k, (c, d) in sorted(table.items())
-    )
-    bad = tuple(s.value for s in splits if s.dirty > dirty_bound)
-    high = tuple(s.value for s in splits if s.multiplicity > tau)
+    table = tuple((k, c, d) for k, (c, d) in sorted(counts.items()))
+    bad = tuple(k for k, _, d in table if d > dirty_bound)
     k_floor = max(1, math.floor(doubling_ratio(a, max_pairs)))
     return AuditReport(
         degree=degree,
         support_size=support_size,
-        splits=splits,
+        scale=scale,
+        table=table,
+        pairs=len(a) ** 2,
         dirty_bound=dirty_bound,
         bad_values=bad,
         max_bad_values=degree + 1,
         consistent=len(bad) <= degree + 1,
         threshold=tau,
-        high_multiplicity=high,
+        high_multiplicity=tuple(k for k, c, d in table if c + d > tau),
         theoretical_threshold_log10=bound_log10(comb(degree + 2, 2), k_floor),
-        zero_value_full_sum_solutions=table.get(0, [0, 0])[0],
+        zero_value_full_sum_solutions=counts.get(0, [0, 0])[0],
     )
 
 
@@ -220,21 +211,22 @@ def audit_injectivity(
 
     Preconditions, each reported distinctly: f must not have the g(x^a y^b)
     shape (so two non-parallel support exponents exist), and the t-dilated
-    box must have pairwise distinct products. The map
+    box must have pairwise distinct products. Both box enumerations are
+    held to isqrt(max_pairs) elements, as sweep samples are. The map
     (x, y) -> (x^i y^j, x^i' y^j') is then checked injective by brute-force
     comparison, and the exponent-system solver must reproduce every
     preimage from the value exponents alone.
     """
     (i, j), (i2, j2) = _require_non_exceptional(f)
-    if not distinctness_check(g, t, max_pairs):
+    max_elements = _max_elements(max_pairs)
+    if not distinctness_check(g, t, max_elements):
         raise DistinctnessError(
             f"products of {g.describe()} dilated by {t} collide; "
             "exponent vectors do not determine values"
         )
-    # Products are distinct, so mus holds one exponent vector per box element.
-    vectors = {x: mu for mu, x in ggp_enumerate(g, 1, max_pairs)}
-    box = make_set(vectors)
-    mus = [vectors[x] for x in box]
+    # Products are distinct, so in value order mus[k] is the exponent vector of box[k].
+    mus, values = zip(*sorted(ggp_enumerate(g, 1, max_elements), key=itemgetter(1)))
+    box = RationalSet(values)
     # The term columns of x^i y^j + x^i' y^j' are the two monomial values,
     # each times a positive constant: equal int pairs mean equal value pairs.
     monomials = BivariatePoly({(i, j): 1, (i2, j2): 1})
@@ -297,8 +289,7 @@ class GGPFamily:
         return f"ggp({self.base.describe()})"
 
     def sample(self, n: int, max_elements: int) -> RationalSet:
-        scaled = GGP(self.base.generators, tuple(h * n for h in self.base.dims))
-        return ggp_power(scaled, 1, max_elements)
+        return ggp_power(self.base, n, max_elements)
 
 
 @dataclass(frozen=True)
@@ -375,7 +366,7 @@ def expansion_sweep(
             ", so its image growth is degenerate; "
             "pass allow_exceptional=True (--allow-exceptional) to sweep it anyway",
         )
-    max_elements = max(1, isqrt(max_pairs))
+    max_elements = _max_elements(max_pairs)
     rows = []
     for n in sizes:
         if n < 1:

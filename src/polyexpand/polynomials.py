@@ -33,7 +33,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import NoReturn
 
-from .rational import format_rational, parse_rational
+from .rational import RationalParseError, format_rational, parse_rational
 
 ExponentPair = tuple[int, int]
 
@@ -259,10 +259,10 @@ class _PolyParser:
             exponent = 1
             if self.peek() == "^":
                 self.pos += 1
-                digits = self.digits()
-                if not digits:
+                start = self.pos
+                if not self.digits():
                     self.fail("exponent must be an unsigned integer")
-                exponent = int(digits)
+                exponent = int(self.literal(start))
             exponents["xy".index(variable)] += exponent
             missing = None
 
@@ -285,9 +285,15 @@ class _PolyParser:
             denominator = self.digits()
             if not denominator:
                 self.fail("expected a denominator")
-            if int(denominator) == 0:
+            if not denominator.strip("0"):
                 self.fail("zero denominator")
-        return parse_rational(self.text[start : self.pos])
+        return self.literal(start)
+
+    def literal(self, start: int) -> Fraction:
+        try:
+            return parse_rational(self.text[start : self.pos])
+        except RationalParseError as exc:
+            raise PolyParseError(str(exc), start) from None
 
 
 def parse_poly(text: str) -> BivariatePoly:

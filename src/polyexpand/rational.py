@@ -28,16 +28,18 @@ def parse_rational(text: str) -> Fraction:
     results are always in lowest terms. A zero denominator is an error.
     """
     s = text.strip()
-    if _INT_RE.match(s):
-        return Fraction(int(s))
-    m = _FRACTION_RE.match(s)
-    if m:
-        den = int(m.group(2))
-        if den == 0:
-            raise RationalParseError(f"zero denominator in {text!r}")
-        return Fraction(int(m.group(1)), den)
-    if _DECIMAL_RE.match(s):
-        return Fraction(s)
+    try:
+        if _INT_RE.match(s):
+            return Fraction(int(s))
+        m = _FRACTION_RE.match(s)
+        if m:
+            return Fraction(int(m.group(1)), int(m.group(2)))
+        if _DECIMAL_RE.match(s):
+            return Fraction(s)
+    except ZeroDivisionError:
+        raise RationalParseError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:  # more digits than the interpreter's int-string limit
+        raise RationalParseError(str(exc).partition(";")[0]) from None
     raise RationalParseError(f"not a rational literal: {text!r}")
 
 

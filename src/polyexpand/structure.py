@@ -269,8 +269,8 @@ def amoroso_viada_bound(n: int, r: int) -> BoundValue:
     exponent = 4 * n**4 * (n + n * r + 1)
     try:
         digits = math.floor(bound_log10(n, r)) + 1
-    except OverflowError:  # past float range: multiply by log10(8n) as a Fraction
-        digits = math.floor(exponent * Fraction(math.log10(8 * n))) + 1
+    except OverflowError:  # the digit count itself is past float range
+        digits = math.inf
     check_budget(digits, MAX_BOUND_DIGITS, "the bound value", "digits", None)
     return BoundValue(n=n, r=r, value=(8 * n) ** exponent, log10=bound_log10(n, r))
 

@@ -55,6 +55,9 @@ def test_classify_parse_error_exit_2(capsys):
     code, _, err = run_cli(["classify", "--poly", "x^^2"], capsys)
     assert code == 2
     assert "position 2" in err
+    code, _, err = run_cli(["classify", "--poly", "x^" + "9" * 5000], capsys)
+    assert code == 2
+    assert "value has 5000 digits at position 2" in err
 
 
 def test_image(capsys, set_file):
@@ -251,12 +254,15 @@ def test_bound(capsys):
 
 
 def test_bound_large_value_prints(capsys):
-    # 40^77500 has ~124k digits; printing must lift the int-to-str guard
+    # 40^77500 has ~124k digits, past the int-to-str guard, which must stay
+    # in force afterwards: it turns oversize literals into parse errors
+    limit = sys.get_int_max_str_digits()
     code, out, _ = run_cli(["bound", "--n", "5", "--r", "4", "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert len(payload["value"]) > 100_000
     assert payload["value"].isdigit()
+    assert sys.get_int_max_str_digits() == limit
 
 
 def _limit_cpu_to_two_seconds():
@@ -287,15 +293,38 @@ def test_bound_above_digit_cap_exit_3():
 
 
 @pytest.mark.parametrize(
-    "n,r", [("1" + "0" * 83, "0"), ("1", "7" * 400)], ids=["huge-n", "huge-r"]
+    "n,r",
+    [("1" + "0" * 83, "0"), ("1", "7" * 400), ("1" + "0" * 900, "0")],
+    ids=["huge-n", "huge-r", "900-digit-n"],
 )
 def test_bound_past_float_range_exit_3(n, r, capsys):
     # the digit count of (8n)^(4n^4(n+nr+1)) does not fit a float here;
-    # the cap must still refuse it instead of raising OverflowError
+    # the cap must still refuse it instead of raising OverflowError, and
+    # for n = 10^900 the count has more digits than the int-to-str limit
     code, out, err = run_cli(["bound", "--n", n, "--r", r], capsys)
     assert code == 3
     assert out == ""
     assert "digit budget exceeded: the bound value needs" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--poly", "x*y^2 + x", "--ggp", "2^[10] * 3^[10]", "--t", "900"],
+        ["sweep", "--poly", "x*y^2 + x", "--family", "ggp:2^[10]*3^[10]", "--N", "900"],
+    ],
+    ids=["audit", "sweep"],
+)
+def test_dilated_box_above_element_cap_exit_3(argv):
+    # The box dilated by 900 has 81M elements, which the child's 2 s of CPU
+    # cannot build; the default --max-pairs holds a box to isqrt(10^8).
+    result = run_cli_with_two_cpu_seconds(argv)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: element budget exceeded: box enumeration needs 81000000 elements, "
+        "above the cap of 10000; raise it with --max-pairs\n"
+    )
 
 
 def test_audit_above_support_cap_exit_3(set_file):

@@ -97,9 +97,10 @@ def test_audit_table_matches_reference(f, a):
     assume(non_exceptional(f))
     report = audit_vanishing_subsums(f, a)
     table, zero_full_sum = reference.audit_table(f, a)
-    assert [(s.value, s.clean, s.dirty) for s in report.splits] == table
+    assert [(Fraction(k, report.scale), c, d) for k, c, d in report.table] == table
     assert report.zero_value_full_sum_solutions == zero_full_sum
-    assert report.total_pairs() == len(a) ** 2
+    assert report.pairs == len(a) ** 2
+    assert sum(c + d for _, c, d in report.table) == len(a) ** 2
 
 
 boxes = st.builds(

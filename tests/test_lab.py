@@ -30,7 +30,8 @@ def dyadic(n):
 
 def split_row(f, a, value):
     """The (clean, dirty) row of the subsum audit table at value."""
-    rows = {s.value: (s.clean, s.dirty) for s in audit_vanishing_subsums(f, a).splits}
+    report = audit_vanishing_subsums(f, a)
+    rows = {Fraction(k, report.scale): (c, d) for k, c, d in report.table}
     return rows[value]
 
 
@@ -65,7 +66,8 @@ def test_audit_consistent_on_random_set():
     a = random_set(rng, max_size=20, nonzero=True)
     report = audit_vanishing_subsums(parse_poly("x^2 - y^2"), a)
     assert report.consistent
-    assert report.total_pairs() == len(a) ** 2
+    assert report.pairs == len(a) ** 2
+    assert sum(c + d for _, c, d in report.table) == len(a) ** 2
     assert report.dirty_bound == 4 * 2**2
     assert report.max_bad_values == 3
 
@@ -73,14 +75,15 @@ def test_audit_consistent_on_random_set():
 def test_audit_dyadic_has_no_dirty_solutions():
     report = audit_vanishing_subsums(parse_poly("x*y + x^2*y^3"), dyadic(8))
     assert report.consistent
-    assert all(split.dirty == 0 for split in report.splits)
+    assert all(d == 0 for _, _, d in report.table)
 
 
 def test_audit_positive_linear():
     report = audit_vanishing_subsums(parse_poly("x + y"), make_set([1, 2]))
     assert report.consistent
-    assert all(split.dirty == 0 for split in report.splits)
-    assert report.total_pairs() == 4
+    assert all(d == 0 for _, _, d in report.table)
+    assert report.pairs == 4
+    assert sum(c + d for _, c, d in report.table) == 4
 
 
 def test_audit_refuses_composed_shapes():
@@ -94,8 +97,8 @@ def test_audit_counts_split_by_value():
     a = random_set(rng, max_size=8, nonzero=True)
     report = audit_vanishing_subsums(f, a)
     hist = multiplicity_histogram(f, a)
-    assert {s.value: s.multiplicity for s in report.splits} == dict(hist.counts)
-    assert [s.value for s in report.splits] == sorted(hist.counts)
+    assert {Fraction(k, report.scale): c + d for k, c, d in report.table} == dict(hist.counts)
+    assert [Fraction(k, report.scale) for k, _, _ in report.table] == sorted(hist.counts)
 
 
 def test_audit_threshold_override():
@@ -103,7 +106,7 @@ def test_audit_threshold_override():
     hist = multiplicity_histogram(parse_poly("x*y + x^2"), make_set([2, 4, 8]))
     expected = tuple(v for v, m in hist.counts.items() if m > 1)
     assert report.threshold == 1
-    assert report.high_multiplicity == expected
+    assert tuple(Fraction(k, report.scale) for k in report.high_multiplicity) == expected
 
 
 def test_audit_reports_full_sum_convention_gap():
@@ -111,8 +114,8 @@ def test_audit_reports_full_sum_convention_gap():
     # any-nonempty-subsum convention they would all count dirty
     a = make_set([-2, -1, 1, 2])
     report = audit_vanishing_subsums(parse_poly("x^2 - y^2"), a)
-    zero_split = [s for s in report.splits if s.value == 0]
-    assert zero_split and zero_split[0].clean == 8
+    zero_split = [(c, d) for k, c, d in report.table if Fraction(k, report.scale) == 0]
+    assert zero_split and zero_split[0][0] == 8
     assert report.zero_value_full_sum_solutions == 8
 
 
@@ -141,7 +144,9 @@ def test_subsum_paths_cap_the_support():
     a = make_set([2, 3])
     at_cap = parse_poly(all_monomials(5) + " - x^5")
     assert len(at_cap.support) == 20
-    assert audit_vanishing_subsums(at_cap, a).total_pairs() == 4
+    report = audit_vanishing_subsums(at_cap, a)
+    assert report.pairs == 4
+    assert sum(c + d for _, c, d in report.table) == 4
     for degree, terms in ((5, 21), (8, 45)):
         f = parse_poly(all_monomials(degree))
         # The term cap is checked before the pair budget, so max_pairs=1 is never reached.

@@ -97,6 +97,10 @@ def test_parse_zero():
         ("x^\u00b2", 2),
         ("\u00b2*x", 0),
         ("2*x^\u00b3", 4),
+        # literals past the interpreter's 4300-digit int-string limit
+        pytest.param("x^" + "9" * 5000, 2, id="long-exponent"),
+        pytest.param("x - " + "7" * 5000 + "*y", 4, id="long-coefficient"),
+        pytest.param("x + 1/" + "7" * 5000 + "*y", 4, id="long-denominator"),
     ],
 )
 def test_parse_errors_carry_positions(text, position):

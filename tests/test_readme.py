@@ -18,4 +18,4 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(quick_start_code(), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "55"  # the README's comment on that line
-    assert len(lines) == 5
+    assert len(lines) == 6

@@ -301,6 +301,13 @@ def test_read_set_file_reports_line(tmp_path):
         read_set_file(path)
 
 
+def test_read_set_file_reports_line_of_a_literal_past_the_digit_limit(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("1\n" + "7" * 5000 + "\n", encoding="utf-8")
+    with pytest.raises(RationalParseError, match=r"long\.txt, line 2: Exceeds the limit"):
+        read_set_file(path)
+
+
 def test_read_set_file_rejects_empty(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing here\n\n", encoding="utf-8")
