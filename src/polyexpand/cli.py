@@ -18,17 +18,15 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .lab import (
-    DistinctnessError,
-    ExceptionalPolynomialError,
     audit_injectivity,
     audit_vanishing_subsums,
     cauchy_schwarz_check,
     expansion_sweep,
     parse_family,
 )
-from .polynomials import PolyParseError, format_monomial, parse_poly
+from .polynomials import format_monomial, parse_poly
 from .polynomials import classify_monomial_composition, non_parallel_witnesses
-from .rational import RationalParseError, format_key, format_rational
+from .rational import format_key, format_rational
 from .sets import (  # noqa: F401 - bench/test_bench.py reads cli.image_set
     DEFAULT_MAX_PAIRS,
     CapExceeded,
@@ -337,7 +335,14 @@ def cmd_bound(args: argparse.Namespace) -> Result:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes a value such as "-x*y" for an option, so glue it to --poly.
+    glued: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if glued[-1:] == ["--poly"] and arg.startswith("-") and not arg.startswith("--"):
+            glued[-1] = f"--poly={arg}"
+        else:
+            glued.append(arg)
+    args = build_parser().parse_args(glued)
     try:
         if args.max_pairs < 1:
             raise ValueError("--max-pairs must be positive")
@@ -350,14 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (
-        PolyParseError,
-        RationalParseError,
-        ExceptionalPolynomialError,
-        DistinctnessError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # parse, precondition and file errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

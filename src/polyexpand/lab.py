@@ -226,7 +226,7 @@ def audit_injectivity(
         )
     # Products are distinct, so in value order mus[k] is the exponent vector of box[k].
     mus, values = zip(*sorted(ggp_enumerate(g, 1, max_elements), key=itemgetter(1)))
-    box = RationalSet(values)
+    box = make_set(values)
     # The term columns of x^i y^j + x^i' y^j' are the two monomial values,
     # each times a positive constant: equal int pairs mean equal value pairs.
     monomials = BivariatePoly({(i, j): 1, (i2, j2): 1})

@@ -1,29 +1,30 @@
 """Finite rational sets and the exact pair-space aggregation engine.
 
-Sumsets, product sets, polynomial image sets, multiplicity histograms and
-polynomial energies all walk the |A| x |B| pair space through one integer
-kernel (``_pair_rows``). Clearing denominators once turns every value f(x, y)
-into an int key scale*f(x, y) with a fixed scale > 0, so dedup, counts,
-energies, sort order and vanishing subsums are exact on plain ints. Counts
-take one column per power of y and build no Fraction; ``image_keys`` returns
-the sorted keys, which the CLI prints without one, and set files are sorted
-on int keys too. Energies cost O(|A|^2) pair work rather than O(|A|^4)
-quadruple work, and nothing here touches floating point.
+A RationalSet is its ascending int keys k over one scale, the lcm of its
+denominators: its values are k/scale, and Fractions are built only on demand
+(``elements``). Sumsets, product sets, polynomial image sets, multiplicity
+histograms and polynomial energies all walk the |A| x |B| pair space through
+one integer kernel (``_pair_rows``), which reads the keys of both sets over
+one scale and turns every value f(x, y) into an int key scale*f(x, y) with a
+fixed scale > 0. So dedup, counts, energies, sort order and vanishing subsums
+are exact on plain ints, and ``image_keys`` returns sorted keys that the CLI
+prints without a Fraction. Energies cost O(|A|^2) pair work rather than
+O(|A|^4) quadruple work, and nothing here touches floating point.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add
+from functools import cached_property
+from math import gcd, lcm
+from operator import add, lt
 from pathlib import Path
 
 from .polynomials import BivariatePoly
-from .rational import RationalParseError, format_rational, parse_rational
+from .rational import RationalParseError, format_key, parse_rational
 
 DEFAULT_MAX_PAIRS = 100_000_000
 
@@ -44,29 +45,35 @@ def check_budget(
 
 @dataclass(frozen=True)
 class RationalSet:
-    """Strictly increasing tuple of distinct exact rationals."""
+    """A finite set of rationals: the values key/scale of strictly increasing keys.
 
-    elements: tuple[Fraction, ...]
+    scale > 0 is the lcm of the values' denominators, so gcd(scale, *keys) == 1
+    and every set has exactly one form.
+    """
+
+    scale: int
+    keys: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.elements:
+        if not self.keys:
             raise ValueError("a set must contain at least one element")
-        for a, b in zip(self.elements, self.elements[1:]):
-            if not a < b:
-                raise ValueError("elements must be strictly increasing and distinct")
+        if self.scale < 1 or gcd(self.scale, *self.keys) != 1:
+            raise ValueError("the scale must be the lcm of the denominators")
+        if not all(map(lt, self.keys, self.keys[1:])):
+            raise ValueError("keys must be strictly increasing and distinct")
+
+    @cached_property
+    def elements(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(k, self.scale) for k in self.keys])
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.elements)
 
-    def __contains__(self, value: object) -> bool:
-        index = bisect.bisect_left(self.elements, value)
-        return index < len(self.elements) and self.elements[index] == value
-
     def __str__(self) -> str:
-        return "{" + ", ".join(format_rational(v) for v in self.elements) + "}"
+        return "{" + ", ".join(format_key(k, self.scale) for k in self.keys) + "}"
 
 
 def make_set(values: Iterable[Fraction | int]) -> RationalSet:
@@ -79,7 +86,7 @@ def make_set(values: Iterable[Fraction | int]) -> RationalSet:
     if not out:
         raise ValueError("cannot build a set from no values")
     d = lcm(*[v.denominator for v in out])
-    return _values(d, sorted({v.numerator * (d // v.denominator) for v in out}))
+    return RationalSet(d, tuple(sorted({v.numerator * (d // v.denominator) for v in out})))
 
 
 def read_set_file(path: str | Path) -> RationalSet:
@@ -109,8 +116,8 @@ def _pair_rows(
 ) -> tuple[int, Iterator[list[list[int]]]]:
     """The scale of f's int keys and, per x in a, its int term columns over b.
 
-    With D the lcm of the denominators of a and b and L that of f's
-    coefficients, F(X, Y) = L*D^deg*f(X/D, Y/D) has the integer coefficients
+    With D = lcm(a.scale, b.scale) and L the lcm of f's coefficient
+    denominators, F(X, Y) = L*D^deg*f(X/D, Y/D) has the integer coefficients
     C = L*c*D^(deg-i-j). Column k of x's row holds C_k*X^i_k*Y^j_k for every
     y in b, with X = D*x and Y = D*y, so the columns sum to scale*f(x, y) for
     scale = L*D^deg > 0, and v -> scale*v is injective and increasing. With
@@ -120,18 +127,19 @@ def _pair_rows(
     check_budget(len(a) * len(b), max_pairs, what)
     terms = f.terms or {(0, 0): Fraction(0)}
     degree = max(i + j for i, j in terms)
-    d = lcm(*(v.denominator for v in a), *(v.denominator for v in b))
-    coeff_lcm = lcm(*(c.denominator for c in terms.values()))
+    d = lcm(a.scale, b.scale)
+    ratios = {ij: c.as_integer_ratio() for ij, c in terms.items()}
+    coeff_lcm = lcm(*(q for _, q in ratios.values()))
     cleared = [
-        (c.numerator * (coeff_lcm // c.denominator) * d ** (degree - i - j), i, j)
-        for (i, j), c in terms.items()
+        (p * (coeff_lcm // q) * d ** (degree - i - j), i, j)
+        for (i, j), (p, q) in ratios.items()
     ]
-    ys = [v.numerator * (d // v.denominator) for v in b]
+    xs = [x * (d // a.scale) for x in a.keys]
+    ys = [y * (d // b.scale) for y in b.keys]
     y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
 
     def rows() -> Iterator[list[list[int]]]:
-        for x in a:
-            big_x = x.numerator * (d // x.denominator)
+        for big_x in xs:
             row = [(j, c * big_x**i) for c, i, j in cleared]  # once per x, not per y
             if merge:
                 row = [(j, sum(k for jk, k in row if jk == j)) for j in y_pows]
@@ -152,15 +160,6 @@ def _key_counts(
             keys = list(map(add, keys, column))
         counts.update(keys)
     return scale, counts
-
-
-def _values(scale: int, keys: Iterable[int]) -> RationalSet:
-    """The values key/scale of ascending distinct keys, built without the check."""
-    # A tuple grown from a generator resizes as it goes; in make_set too, tuples
-    # come from lists, since the resizing raised the peak RSS of long runs.
-    out = object.__new__(RationalSet)
-    object.__setattr__(out, "elements", tuple([Fraction(k, scale) for k in keys]))
-    return out
 
 
 def sumset(
@@ -202,7 +201,9 @@ def image_set(
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> RationalSet:
     """The set of distinct values f(x, y) over a x b (b defaults to a)."""
-    return _values(*image_keys(f, a, a if b is None else b, max_pairs))
+    scale, keys = image_keys(f, a, a if b is None else b, max_pairs)
+    g = gcd(scale, *keys)
+    return RationalSet(scale // g, tuple([k // g for k in keys]))
 
 
 @dataclass(frozen=True)

@@ -105,15 +105,14 @@ def multiplicative_rank(a: RationalSet) -> int:
     {q, q^2, ...} has rank 1, multiplicatively independent elements add
     rank, and {1} (or {-1, 1}) has rank 0. The set must not contain 0.
     """
-    if Fraction(0) in a:
+    if 0 in a.keys:
         raise ValueError("0 is not in any multiplicative group; drop it first")
-    base = _coprime_base(n for v in a for n in (abs(v.numerator), v.denominator))
+    base = _coprime_base([a.scale, *map(abs, a.keys)])
     # Pairwise-coprime integers above 1 are multiplicatively independent, so
-    # the rank over this base is the rank over the primes.
-    rows = [
-        [_strip(abs(v.numerator), b)[0] - _strip(v.denominator, b)[0] for b in base]
-        for v in a
-    ]
+    # the rank over this base is the rank over the primes. |k/scale| has the
+    # exponent row of |k| minus that of the scale.
+    scale_row = [_strip(a.scale, b)[0] for b in base]
+    rows = [[_strip(abs(k), b)[0] - e for b, e in zip(base, scale_row)] for k in a.keys]
     return _integer_rank(rows)
 
 
@@ -168,7 +167,7 @@ def parse_ggp_spec(text: str) -> GGP:
             raise ValueError(f"expected generator^[dimension], got {part!r}")
         generators.append(parse_rational(head))
         dim_text = tail[1:-1].strip()
-        if not dim_text.isdigit():
+        if not dim_text.isdecimal():
             raise ValueError(f"box dimension must be an unsigned integer, got {tail!r}")
         dims.append(int(dim_text))
     return GGP(tuple(generators), tuple(dims))

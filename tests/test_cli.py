@@ -132,6 +132,32 @@ def test_audit_distinctness_precondition(capsys):
     assert "collide" in err
 
 
+@pytest.mark.parametrize("command, poly", [("classify", "-2/5*x^2+y"), ("image", "-x*y+x")])
+def test_poly_value_starting_with_minus(command, poly, capsys, set_file):
+    rest = [] if command == "classify" else ["--set", set_file]
+    spaced = run_cli([command, "--poly", poly, *rest], capsys)
+    assert spaced == run_cli([command, f"--poly={poly}", *rest], capsys)
+    assert spaced[0] == 0 and spaced[1]
+
+
+@pytest.mark.parametrize("argv", [["image", "--poly", "--set", "a.txt"], ["classify", "--poly"]])
+def test_poly_without_a_value_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --poly: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--poly", "x*y^2 + x", "--ggp", "2^[\u00b2]", "--t", "1"],
+    ["sweep", "--poly", "x*y^2 + x", "--family", "ggp:2^[\u00b9]", "--N", "1"],
+], ids=["audit", "sweep"])
+def test_superscript_box_dimension_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "box dimension must be an unsigned integer" in err
+
+
 def test_audit_requires_target(capsys):
     code, _, err = run_cli(["audit", "--poly", "x + y"], capsys)
     assert code == 2

@@ -8,6 +8,7 @@ include the zero polynomial and constants.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -121,6 +122,17 @@ def test_injectivity_audit_matches_reference(f, box, t):
         assert len({v for _, v in ggp_enumerate(box, t)}) < box.box_size(t)
         return
     assert injective == reference.injective(f, box)
+
+
+@SETTINGS
+@given(polys(), sets, sets)
+def test_every_set_has_one_canonical_form(f, a, b):
+    for s in (a, image_set(f, a, b), sumset(a, b), productset(a, b)):
+        assert s.scale > 0 and gcd(s.scale, *s.keys) == 1
+        assert make_set(s.elements) == s
+    again = make_set(reference.image_values(f, a, b))
+    assert again == image_set(f, a, b) and hash(again) == hash(image_set(f, a, b))
+    assert hash(sumset(b, a)) == hash(sumset(a, b))
 
 
 def test_zero_polynomial_and_constants():

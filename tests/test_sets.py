@@ -94,12 +94,19 @@ def test_make_set_merges_spellings():
 
 
 def test_rational_set_enforces_order():
-    with pytest.raises(ValueError):
-        RationalSet((Fraction(2), Fraction(1)))
-    with pytest.raises(ValueError):
-        RationalSet((Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError):
-        RationalSet(())
+    a = RationalSet(2, (-1, 2, 3))
+    assert a.elements == (Fraction(-1, 2), Fraction(1), Fraction(3, 2))
+    assert str(a) == "{-1/2, 1, 3/2}" and len(a) == 3
+    with pytest.raises(ValueError, match="increasing"):
+        RationalSet(1, (2, 1))
+    with pytest.raises(ValueError, match="increasing"):
+        RationalSet(1, (1, 1))
+    with pytest.raises(ValueError, match="at least one"):
+        RationalSet(1, ())
+    # {1, 2} over the scale 2: its canonical form is RationalSet(1, (1, 2)).
+    for scale, keys in ((2, (2, 4)), (0, (1,)), (-1, (1,))):
+        with pytest.raises(ValueError, match="lcm"):
+            RationalSet(scale, keys)
 
 
 def test_membership():
