@@ -107,12 +107,13 @@ def multiplicative_rank(a: RationalSet) -> int:
     """
     if 0 in a.keys:
         raise ValueError("0 is not in any multiplicative group; drop it first")
-    base = _coprime_base([a.scale, *map(abs, a.keys)])
+    # |k|/scale in lowest terms is n/d. Reducing first keeps the bits of
+    # scale/d out of the ints the base is refined from.
+    reduced = [(abs(k) // g, a.scale // g) for k in a.keys for g in [math.gcd(k, a.scale)]]
+    base = _coprime_base(dict.fromkeys(m for pair in reduced for m in pair))
     # Pairwise-coprime integers above 1 are multiplicatively independent, so
-    # the rank over this base is the rank over the primes. |k/scale| has the
-    # exponent row of |k| minus that of the scale.
-    scale_row = [_strip(a.scale, b)[0] for b in base]
-    rows = [[_strip(abs(k), b)[0] - e for b, e in zip(base, scale_row)] for k in a.keys]
+    # the rank over this base is the rank over the primes.
+    rows = [[_strip(n, b)[0] - _strip(d, b)[0] for b in base] for n, d in reduced]
     return _integer_rank(rows)
 
 

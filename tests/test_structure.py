@@ -92,6 +92,12 @@ def test_rank_sees_primes_hidden_in_composites():
     assert multiplicative_rank(make_set([p * q, p * r, Fraction(q, r)])) == 2
 
 
+def test_rank_of_many_coprime_denominators():
+    primes = [n for n in range(2, 1224) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert len(primes) == 200
+    assert multiplicative_rank(make_set([Fraction(1, p) for p in primes])) == 200
+
+
 def test_rank_matches_exponent_matrix_over_prime_pool():
     rng = random.Random(1000003)
     for _ in range(200):
