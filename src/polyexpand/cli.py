@@ -196,6 +196,12 @@ def cmd_audit(args: argparse.Namespace) -> Result:
     f = parse_poly(args.poly)
     if args.set_path is None and args.ggp is None:
         raise ValueError("audit needs --set (subsum audit) or --ggp (injectivity audit)")
+    if args.ggp is not None and args.t is None:
+        raise ValueError("--ggp needs --t for the dilation factor")
+    if args.t is not None and args.ggp is None:
+        raise ValueError("--t needs --ggp; it dilates the injectivity audit's box")
+    if args.threshold is not None and args.set_path is None:
+        raise ValueError("--threshold needs --set; it applies to the subsum audit")
     payload: dict = {"command": "audit", "polynomial": str(f)}
     lines: list[str] = []
     exit_code = EXIT_OK
@@ -240,8 +246,6 @@ def cmd_audit(args: argparse.Namespace) -> Result:
             lines += [f"    {row['value']} {row['clean']} {row['dirty']}" for row in table]
 
     if args.ggp is not None:
-        if args.t is None:
-            raise ValueError("--ggp needs --t for the dilation factor")
         box = parse_ggp_spec(args.ggp)
         injective = audit_injectivity(f, box, args.t, max_pairs=args.max_pairs)
         payload["injectivity_audit"] = {

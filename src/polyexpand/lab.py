@@ -37,7 +37,6 @@ from .sets import (
     _pair_rows,
     check_budget,
     doubling_ratio,
-    make_set,
     productset_size,
     read_set_file,
     value_multiplicities,
@@ -263,12 +262,8 @@ class GeometricFamily:
 
     def sample(self, n: int, max_elements: int) -> RationalSet:
         check_budget(n, max_elements, "geometric family", "elements")
-        powers = []
-        value = Fraction(1)
-        for _ in range(n):
-            value *= self.ratio
-            powers.append(value)
-        return make_set(powers)
+        p, q = self.ratio.as_integer_ratio()
+        return RationalSet.from_keys(q**n, [p**k * q ** (n - k) for k in range(1, n + 1)])
 
 
 @dataclass(frozen=True)

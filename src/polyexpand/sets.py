@@ -48,11 +48,18 @@ class RationalSet:
     """A finite set of rationals: the values key/scale of strictly increasing keys.
 
     scale > 0 is the lcm of the values' denominators, so gcd(scale, *keys) == 1
-    and every set has exactly one form.
+    and every set has exactly one form; ``from_keys`` brings any keys to it.
     """
 
     scale: int
     keys: tuple[int, ...]
+
+    @classmethod
+    def from_keys(cls, scale: int, keys: Iterable[int]) -> RationalSet:
+        """The set of the values k/scale for scale > 0: dedups, reduces by the gcd, sorts."""
+        distinct = set(keys)
+        g = gcd(scale, *distinct)
+        return cls(scale // g, tuple(sorted([k // g for k in distinct])))
 
     def __post_init__(self) -> None:
         if not self.keys:
@@ -83,10 +90,8 @@ def make_set(values: Iterable[Fraction | int]) -> RationalSet:
         if isinstance(value, float):
             raise TypeError("floats are not exact; parse a decimal string instead")
         out.append(value if type(value) is Fraction else Fraction(value))
-    if not out:
-        raise ValueError("cannot build a set from no values")
     d = lcm(*[v.denominator for v in out])
-    return RationalSet(d, tuple(sorted({v.numerator * (d // v.denominator) for v in out})))
+    return RationalSet.from_keys(d, [v.numerator * (d // v.denominator) for v in out])
 
 
 def read_set_file(path: str | Path) -> RationalSet:
@@ -201,9 +206,7 @@ def image_set(
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> RationalSet:
     """The set of distinct values f(x, y) over a x b (b defaults to a)."""
-    scale, keys = image_keys(f, a, a if b is None else b, max_pairs)
-    g = gcd(scale, *keys)
-    return RationalSet(scale // g, tuple([k // g for k in keys]))
+    return RationalSet.from_keys(*image_keys(f, a, a if b is None else b, max_pairs))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 Nonzero rationals factor into sign times an exponent vector over a
 pairwise-coprime base, so a set of them spans an integer lattice whose rank
 measures how few independent generators suffice multiplicatively. This
-module computes that rank by integer row reduction, models
-geometric-progression boxes g1^[H1] * ... * gr^[Hr] with their dilated
-boxes, solves the 2x2 exponent systems that make monomial values determine
-their arguments, and evaluates the explicit unit-equation bound of Amoroso
-and Viada.
+module computes that rank by integer row reduction, enumerates
+geometric-progression boxes g1^[H1] * ... * gr^[Hr] and their dilates as int
+keys over one scale (building no Fraction), solves the 2x2 exponent systems
+that make monomial values determine their arguments, and evaluates the
+explicit unit-equation bound of Amoroso and Viada.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import format_rational, parse_rational
-from .sets import RationalSet, check_budget, make_set
+from .sets import RationalSet, check_budget
 
 DEFAULT_MAX_ELEMENTS = 1_000_000
 # Printing a bound value takes time quadratic in its digit count, so larger
@@ -142,10 +142,7 @@ class GGP:
                 raise ValueError(f"box dimensions must be positive, got {h}")
 
     def box_size(self, t: int = 1) -> int:
-        size = 1
-        for h in self.dims:
-            size *= t * h
-        return size
+        return math.prod(t * h for h in self.dims)
 
     def describe(self) -> str:
         if not self.generators:
@@ -176,37 +173,41 @@ def parse_ggp_spec(text: str) -> GGP:
 
 def ggp_enumerate(
     g: GGP, t: int = 1, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All (exponent vector, product value) pairs of the t-dilated box.
+) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """The scale and the (exponent vector, int key) pairs of the t-dilated box.
 
-    Exponent vectors run in lexicographic order, values may repeat; the
-    list has exactly prod(t * Hi) entries.
+    Each product is key/scale: a generator p/q of width w = t * H puts q^(w-1)
+    into the scale and p^e * q^(w-1-e) into the key at exponent e. Exponent
+    vectors run in lexicographic order, keys may repeat; the list has exactly
+    prod(t * Hi) entries.
     """
     if t < 1:
         raise ValueError("dilation factor must be a positive integer")
     check_budget(g.box_size(t), max_elements, "box enumeration", "elements")
-    members: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
+    scale = 1
+    members: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for generator, h in zip(g.generators, g.dims):
-        width = t * h
-        powers = [Fraction(1)]
-        for _ in range(width - 1):
-            powers.append(powers[-1] * generator)
+        p, q = generator.as_integer_ratio()
+        top = t * h - 1
+        scale *= q**top
+        factors = [p**e * q ** (top - e) for e in range(top + 1)]
         members = [
-            (exponents + (e,), value * powers[e])
-            for exponents, value in members
-            for e in range(width)
+            (exponents + (e,), key * factor)
+            for exponents, key in members
+            for e, factor in enumerate(factors)
         ]
-    return members
+    return scale, members
 
 
 def ggp_power(g: GGP, t: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RationalSet:
     """The set of products of the t-dilated box, deduplicated."""
-    return make_set(value for _, value in ggp_enumerate(g, t, max_elements))
+    scale, members = ggp_enumerate(g, t, max_elements)
+    return RationalSet.from_keys(scale, [key for _, key in members])
 
 
 def distinctness_check(g: GGP, t: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> bool:
     """True when all prod(t * Hi) products of the t-dilated box are distinct."""
-    return len({v for _, v in ggp_enumerate(g, t, max_elements)}) == g.box_size(t)
+    return len({key for _, key in ggp_enumerate(g, t, max_elements)[1]}) == g.box_size(t)
 
 
 class ParallelVectorsError(ValueError):

@@ -7,10 +7,12 @@ enumeration. Property tests compare the package against them.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from polyexpand import ggp_enumerate, make_set, non_parallel_witnesses, solve_exponent_system
+from polyexpand import make_set, non_parallel_witnesses, solve_exponent_system
 
 
 def image_values(f, a, b=None) -> tuple[Fraction, ...]:
@@ -96,6 +98,14 @@ def vanishing_subsets(f, x, y) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
+def box_members(g, t) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(exponent vector, Fraction product) of the t-dilated box, vectors in lexicographic order."""
+    return [
+        (mu, math.prod((gen**e for gen, e in zip(g.generators, mu)), start=Fraction(1)))
+        for mu in itertools.product(*[range(t * h) for h in g.dims])
+    ]
+
+
 def injective(f, g) -> bool:
     """Is (x, y) -> (x^i y^j, x^i' y^j') injective on the box G x G?
 
@@ -103,7 +113,7 @@ def injective(f, g) -> bool:
     exponent-system solver must also recover every pair from its exponents.
     """
     (i, j), (i2, j2) = non_parallel_witnesses(f)
-    members = ggp_enumerate(g, 1)
+    members = box_members(g, 1)
     seen = {}
     for mu, x in members:
         for nu, y in members:

@@ -28,7 +28,6 @@ from polyexpand import (
     distinctness_check,
     energy,
     expansion_sweep,
-    ggp_enumerate,
     GeometricFamily,
     image_set,
     make_set,
@@ -285,7 +284,7 @@ def test_criterion_10_structure_detection():
     box_b = GGP((Fraction(2), Fraction(4)), (3, 3))
 
     def pairwise_distinct(box, t):
-        values = [value for _, value in ggp_enumerate(box, t)]
+        values = [value for _, value in reference.box_members(box, t)]
         return all(
             values[i] != values[k]
             for i in range(len(values))

@@ -170,6 +170,23 @@ def test_audit_ggp_requires_t(capsys):
     assert "--t" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--set", "{A}", "--t", "3"], "--t needs --ggp"),
+        (["--set", "/nonexistent.txt", "--t", "3"], "--t needs --ggp"),
+        (["--ggp", "2^[3]", "--t", "1", "--threshold", "2"], "--threshold needs --set"),
+    ],
+    ids=["t-without-ggp", "t-without-ggp-before-set-read", "threshold-without-set"],
+)
+def test_audit_flag_without_its_audit_exit_2(extra, message, set_file, capsys):
+    # Each flag would be ignored; it is refused before any set file is opened.
+    argv = ["audit", "--poly", "x*y + x^2*y^3", *[arg.format(A=set_file) for arg in extra]]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_image_asymmetric_sets(capsys, tmp_path):
     a = tmp_path / "a.txt"
     a.write_text("1\n2\n", encoding="utf-8")

@@ -6,7 +6,9 @@ bytes that rework had to keep. Argv entries `{A}`, `{B}`, `{S}`, `{U}` and
 `{V}` name the set files written below. `{U}` is unsorted and spells 1/2
 three ways, and `{V}` has other denominators; the image case that reads
 them was recorded before set files were sorted on integer keys, and the
-audit cases on `{V}` before audits printed from integer keys. A case with a
+audit cases on `{V}` before audits printed from integer keys. The sweep and
+audit cases on GGP boxes and on the ratio -3/2 were recorded while boxes
+and geometric samples were still built from Fraction products. A case with a
 `patch` wraps one library call seen by the CLI so that it reports a
 falsified bound, which exercises the exit-4 output that correct code never
 reaches.

@@ -242,6 +242,15 @@ def test_geometric_family_rejects_degenerate_ratio():
         GeometricFamily(Fraction(0))
 
 
+@pytest.mark.parametrize(
+    "ratio", [Fraction(2), Fraction(-3), Fraction(2, 7), Fraction(-3, 2), Fraction(-1, 5)]
+)
+def test_geometric_family_sample_matches_fraction_powers(ratio):
+    for n in (1, 2, 7):
+        expected = make_set([ratio**k for k in range(1, n + 1)])
+        assert GeometricFamily(ratio).sample(n, 100) == expected
+
+
 def test_ggp_family_scales_dims():
     family = GGPFamily(GGP((Fraction(2), Fraction(3)), (1, 1)))
     assert family.sample(2, 10_000) == make_set([1, 2, 3, 6])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from genutil import random_fraction, random_ggp, random_set
 from polyexpand import (
     GGP,
@@ -206,7 +207,7 @@ def test_distinctness_matches_pairwise_oracle():
         t = rng.randint(1, 3)
         if g.box_size(t) > 10_000:
             continue
-        values = [value for _, value in ggp_enumerate(g, t)]
+        values = [value for _, value in reference.box_members(g, t)]
         if len(values) <= 400:
             all_distinct = all(
                 values[i] != values[k]
@@ -217,6 +218,26 @@ def test_distinctness_matches_pairwise_oracle():
             ordered = sorted(values)
             all_distinct = all(a != b for a, b in zip(ordered, ordered[1:]))
         assert distinctness_check(g, t) == all_distinct
+
+
+def test_box_builders_match_fraction_oracle():
+    # 2, 4, 6, 9/4 and 10/9 share primes; 1/2 and 3/5 are reciprocals of 2 and 5/3.
+    pool = [Fraction(v) for v in ("2", "4", "6", "9/4", "10/9", "1/2", "5/3", "3/5")]
+    rng = random.Random(2718)
+    outcomes = set()
+    for _ in range(40):
+        rank = rng.randint(0, 3)
+        g = GGP(tuple(rng.sample(pool, rank)), tuple(rng.randint(1, 3) for _ in range(rank)))
+        for t in (1, 2, 3):
+            members = reference.box_members(g, t)
+            scale, keyed = ggp_enumerate(g, t)
+            assert [(mu, Fraction(key, scale)) for mu, key in keyed] == members
+            values = [value for _, value in members]
+            assert ggp_power(g, t) == make_set(values)
+            distinct = len(set(values)) == len(values)
+            assert distinctness_check(g, t) == distinct
+            outcomes.add((rank, distinct))
+    assert {(0, True), (3, True), (3, False)} <= outcomes
 
 
 def test_parse_ggp_spec():
