@@ -8,14 +8,27 @@ three ways, and `{V}` has other denominators; the image case that reads
 them was recorded before set files were sorted on integer keys, and the
 audit cases on `{V}` before audits printed from integer keys. The sweep and
 audit cases on GGP boxes and on the ratio -3/2 were recorded while boxes
-and geometric samples were still built from Fraction products. A case with a
-`patch` wraps one library call seen by the CLI so that it reports a
-falsified bound, which exercises the exit-4 output that correct code never
-reaches.
+and geometric samples were still built from Fraction products. The
+element-cap cases of the injectivity box, the `ggp` family and the `files`
+family were recorded while each caller still turned `--max-pairs` into its
+own element cap. A case with a `patch` wraps one library call seen by the
+CLI so that it reports a falsified bound, which exercises the exit-4 output
+that correct code never reaches.
+
+New cases are appended, never rewritten, by the recorder in this file:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record ID -- ARGV...
+
+It runs the CLI on ARGV, with the same set-file placeholders as the test,
+and appends the result under ID, which must be new.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -34,16 +47,23 @@ PATCHES = {
     "not_injective": ("audit_injectivity", lambda r: False),
     "energy_fails": ("cauchy_schwarz_check", lambda r: dataclasses.replace(r, holds=False)),
 }
-CASES = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+GOLDEN = Path(__file__).parent / "cli_golden.json"
+CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def write_sets(directory: Path) -> dict[str, str]:
+    """Write the set files into directory; map each placeholder name to its path."""
+    paths = {}
+    for name, text in SETS.items():
+        path = directory / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+    return paths
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["id"] for case in CASES])
 def test_cli_bytes(case, tmp_path, monkeypatch, capsys):
-    paths = {}
-    for name, text in SETS.items():
-        path = tmp_path / f"{name}.txt"
-        path.write_text(text, encoding="utf-8")
-        paths[name] = str(path)
+    paths = write_sets(tmp_path)
     if case["patch"]:
         attr, falsify = PATCHES[case["patch"]]
         original = getattr(cli, attr)
@@ -51,3 +71,29 @@ def test_cli_bytes(case, tmp_path, monkeypatch, capsys):
     code = cli.main([arg.format(**paths) for arg in case["argv"]])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def record(case_id: str, argv: list[str]) -> None:
+    """Run the CLI on argv and append the case to cli_golden.json."""
+    if any(case["id"] == case_id for case in CASES):
+        raise SystemExit(f"case {case_id!r} exists; golden cases are never rewritten")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_sets(Path(directory))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.format(**paths) for arg in argv])
+    dump = json.dumps
+    entry = (
+        f' {{"id": {dump(case_id)}, "patch": null, "code": {code},\n'
+        f'  "argv": {dump(argv)},\n'
+        f'  "stdout": {dump(out.getvalue())},\n'
+        f'  "stderr": {dump(err.getvalue())}}}'
+    )
+    text = GOLDEN.read_text(encoding="utf-8")
+    GOLDEN.write_text(text.rstrip()[:-1].rstrip() + ",\n" + entry + "\n]\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 5 or sys.argv[1] != "--record" or sys.argv[3] != "--":
+        raise SystemExit("usage: test_cli_golden.py --record ID -- ARGV...")
+    record(sys.argv[2], sys.argv[4:])
