@@ -97,8 +97,9 @@ Result = tuple[int, dict, list[str]]
 
 def cmd_classify(args: argparse.Namespace) -> Result:
     f = parse_poly(args.poly)
-    decomposition = classify_monomial_composition(f)
-    if decomposition is not None:
+    witnesses = non_parallel_witnesses(f)
+    if witnesses is None:
+        decomposition = classify_monomial_composition(f)
         payload = {
             "command": "classify",
             "polynomial": str(f),
@@ -115,8 +116,6 @@ def cmd_classify(args: argparse.Namespace) -> Result:
             f"  trivial = {str(decomposition.trivial).lower()}",
         ]
     else:
-        witnesses = non_parallel_witnesses(f)
-        assert witnesses is not None
         payload = {
             "command": "classify",
             "polynomial": str(f),
@@ -339,11 +338,14 @@ def cmd_bound(args: argparse.Namespace) -> Result:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse takes a value such as "-x*y" for an option, so glue it to --poly.
+    # argparse takes a value such as "-x*y", "-2^[3]" or "-1,2" for an option,
+    # so glue it to the option before it, if that option takes a value.
     glued: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if glued[-1:] == ["--poly"] and arg.startswith("-") and not arg.startswith("--"):
-            glued[-1] = f"--poly={arg}"
+        last = glued[-1] if glued else ""
+        if (arg.startswith("-") and not arg.startswith("--") and last.startswith("--")
+                and "=" not in last and last not in ("--", "--allow-exceptional", "--help")):
+            glued[-1] = f"{last}={arg}"
         else:
             glued.append(arg)
     args = build_parser().parse_args(glued)

@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 from pathlib import Path
 
 from .polynomials import (
@@ -36,6 +36,7 @@ from .sets import (
     RationalSet,
     _pair_rows,
     check_budget,
+    check_elements,
     doubling_ratio,
     productset_size,
     read_set_file,
@@ -123,10 +124,6 @@ class ExpansionReport:
     growth_exponent: float | None
 
 
-def _max_elements(max_pairs: int) -> int:
-    return max(1, isqrt(max_pairs))
-
-
 def _require_nonzero(f: BivariatePoly) -> None:
     if f.is_zero:
         raise ValueError("the zero polynomial is not accepted here")
@@ -145,9 +142,9 @@ def _refuse_exceptional(f: BivariatePoly, closing: str) -> None:
 def _require_non_exceptional(f: BivariatePoly) -> tuple[tuple[int, int], tuple[int, int]]:
     """Refuse g(x^a y^b) shapes; return the first non-parallel witness pair."""
     _require_nonzero(f)
-    _refuse_exceptional(f, "; its image can grow linearly, so this operation refuses it")
     witnesses = non_parallel_witnesses(f)
-    assert witnesses is not None
+    if witnesses is None:
+        _refuse_exceptional(f, "; its image can grow linearly, so this operation refuses it")
     return witnesses
 
 
@@ -208,31 +205,24 @@ def audit_injectivity(
     Preconditions, each reported distinctly: f must not have the g(x^a y^b)
     shape (so two non-parallel support exponents exist), and the t-dilated
     box must have pairwise distinct products. Both box enumerations are
-    held to isqrt(max_pairs) elements, as sweep samples are. The map
-    (x, y) -> (x^i y^j, x^i' y^j') is then checked injective by brute-force
-    comparison of value pairs. No exponent solver is consulted: with a
+    held to the element cap of max_pairs, as sweep samples are. The map
+    (x, y) -> (x^i y^j, x^i' y^j') is then injective when it takes |G|^2
+    distinct value pairs on G x G. No exponent solver is consulted: with a
     nonzero determinant, Cramer's rule recovers every exponent pair exactly.
     """
     (i, j), (i2, j2) = _require_non_exceptional(f)
-    max_elements = _max_elements(max_pairs)
-    if not distinctness_check(g, t, max_elements):
+    if not distinctness_check(g, t, max_pairs):
         raise DistinctnessError(
             f"products of {g.describe()} dilated by {t} collide; "
             "exponent vectors do not determine values"
         )
     # The undilated box lies inside the dilated one, so its products are distinct too.
-    box = ggp_power(g, 1, max_elements)
+    box = ggp_power(g, 1, max_pairs)
     # The term columns of x^i y^j + x^i' y^j' are the two monomial values,
     # each times a positive constant: equal int pairs mean equal value pairs.
     monomials = BivariatePoly({(i, j): 1, (i2, j2): 1})
     _, rows = _pair_rows(monomials, box, box, max_pairs, "injectivity audit")
-    seen: set[tuple[int, ...]] = set()
-    for columns in rows:
-        for pair_of_values in zip(*columns):
-            if pair_of_values in seen:
-                return False
-            seen.add(pair_of_values)
-    return True
+    return len({pair for columns in rows for pair in zip(*columns)}) == len(box) ** 2
 
 
 def cauchy_schwarz_check(
@@ -260,8 +250,8 @@ class GeometricFamily:
     def describe(self) -> str:
         return f"geometric({format_rational(self.ratio)})"
 
-    def sample(self, n: int, max_elements: int) -> RationalSet:
-        check_budget(n, max_elements, "geometric family", "elements")
+    def sample(self, n: int, max_pairs: int = DEFAULT_MAX_PAIRS) -> RationalSet:
+        check_elements(n, max_pairs, "geometric family")
         p, q = self.ratio.as_integer_ratio()
         return RationalSet.from_keys(q**n, [p**k * q ** (n - k) for k in range(1, n + 1)])
 
@@ -275,8 +265,8 @@ class GGPFamily:
     def describe(self) -> str:
         return f"ggp({self.base.describe()})"
 
-    def sample(self, n: int, max_elements: int) -> RationalSet:
-        return ggp_power(self.base, n, max_elements)
+    def sample(self, n: int, max_pairs: int = DEFAULT_MAX_PAIRS) -> RationalSet:
+        return ggp_power(self.base, n, max_pairs)
 
 
 @dataclass(frozen=True)
@@ -292,11 +282,11 @@ class FileFamily:
     def describe(self) -> str:
         return f"files({', '.join(Path(p).name for p in self.paths)})"
 
-    def sample(self, n: int, max_elements: int) -> RationalSet:
+    def sample(self, n: int, max_pairs: int = DEFAULT_MAX_PAIRS) -> RationalSet:
         if not 1 <= n <= len(self.paths):
             raise ValueError(f"sample index {n} outside 1..{len(self.paths)}")
         a = read_set_file(self.paths[n - 1])
-        check_budget(len(a), max_elements, "file family", "elements")
+        check_elements(len(a), max_pairs, "file family")
         return a
 
 
@@ -353,12 +343,11 @@ def expansion_sweep(
             ", so its image growth is degenerate; "
             "pass allow_exceptional=True (--allow-exceptional) to sweep it anyway",
         )
-    max_elements = _max_elements(max_pairs)
     rows = []
     for n in sizes:
         if n < 1:
             raise ValueError(f"sample sizes must be positive, got {n}")
-        a = family.sample(n, max_elements)
+        a = family.sample(n, max_pairs)
         images = len(value_multiplicities(f, a, max_pairs))
         products = productset_size(a, max_pairs)
         rows.append(

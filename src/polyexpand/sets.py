@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, lt
 from pathlib import Path
 
@@ -41,6 +41,14 @@ def check_budget(
         remedy = f"raise it with {flag}" if flag else "this cap is fixed"
         raise CapExceeded(f"{unit[:-1]} budget exceeded: {what} needs {count} {unit}, "
                           f"above the cap of {cap}; {remedy}")
+
+
+def check_elements(count: int, max_pairs: int, what: str) -> None:
+    """Hold a generated set of count elements to max(1, isqrt(max_pairs)) elements.
+
+    A set of n elements has n^2 pairs, so its cap is the square root of the pair budget.
+    """
+    check_budget(count, max(1, isqrt(max_pairs)), what, "elements")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ pairwise-coprime base, so a set of them spans an integer lattice whose rank
 measures how few independent generators suffice multiplicatively. This
 module computes that rank by integer row reduction, enumerates
 geometric-progression boxes g1^[H1] * ... * gr^[Hr] and their dilates as int
-keys over one scale (building no Fraction), solves the 2x2 exponent systems
+keys over one scale (building no Fraction, and holding each box to the
+element cap of the pair budget), solves the 2x2 exponent systems
 that make monomial values determine their arguments, and evaluates the
 explicit unit-equation bound of Amoroso and Viada.
 """
@@ -18,9 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import format_rational, parse_rational
-from .sets import RationalSet, check_budget
+from .sets import DEFAULT_MAX_PAIRS, RationalSet, check_budget, check_elements
 
-DEFAULT_MAX_ELEMENTS = 1_000_000
 # Printing a bound value takes time quadratic in its digit count, so larger
 # values are refused before they are built; n = 5, r = 4 has about 104k digits.
 MAX_BOUND_DIGITS = 200_000
@@ -172,42 +172,39 @@ def parse_ggp_spec(text: str) -> GGP:
 
 
 def ggp_enumerate(
-    g: GGP, t: int = 1, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """The scale and the (exponent vector, int key) pairs of the t-dilated box.
+    g: GGP, t: int = 1, max_pairs: int = DEFAULT_MAX_PAIRS
+) -> tuple[int, list[int]]:
+    """The scale and the int keys of the products of the t-dilated box.
 
     Each product is key/scale: a generator p/q of width w = t * H puts q^(w-1)
-    into the scale and p^e * q^(w-1-e) into the key at exponent e. Exponent
-    vectors run in lexicographic order, keys may repeat; the list has exactly
-    prod(t * Hi) entries.
+    into the scale and p^e * q^(w-1-e) into the key at exponent e. Keys run in
+    the lexicographic order of their exponent vectors and may repeat; there
+    are exactly prod(t * Hi) of them, held to the element cap of max_pairs
+    (``check_elements``) as every generated set is.
     """
     if t < 1:
         raise ValueError("dilation factor must be a positive integer")
-    check_budget(g.box_size(t), max_elements, "box enumeration", "elements")
+    check_elements(g.box_size(t), max_pairs, "box enumeration")
     scale = 1
-    members: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    keys = [1]
     for generator, h in zip(g.generators, g.dims):
         p, q = generator.as_integer_ratio()
         top = t * h - 1
         scale *= q**top
         factors = [p**e * q ** (top - e) for e in range(top + 1)]
-        members = [
-            (exponents + (e,), key * factor)
-            for exponents, key in members
-            for e, factor in enumerate(factors)
-        ]
-    return scale, members
+        keys = [key * factor for key in keys for factor in factors]
+    return scale, keys
 
 
-def ggp_power(g: GGP, t: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RationalSet:
+def ggp_power(g: GGP, t: int, max_pairs: int = DEFAULT_MAX_PAIRS) -> RationalSet:
     """The set of products of the t-dilated box, deduplicated."""
-    scale, members = ggp_enumerate(g, t, max_elements)
-    return RationalSet.from_keys(scale, [key for _, key in members])
+    return RationalSet.from_keys(*ggp_enumerate(g, t, max_pairs))
 
 
-def distinctness_check(g: GGP, t: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> bool:
+def distinctness_check(g: GGP, t: int, max_pairs: int = DEFAULT_MAX_PAIRS) -> bool:
     """True when all prod(t * Hi) products of the t-dilated box are distinct."""
-    return len({key for _, key in ggp_enumerate(g, t, max_elements)[1]}) == g.box_size(t)
+    keys = ggp_enumerate(g, t, max_pairs)[1]
+    return len(set(keys)) == len(keys)
 
 
 class ParallelVectorsError(ValueError):

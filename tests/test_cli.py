@@ -140,6 +140,23 @@ def test_poly_value_starting_with_minus(command, poly, capsys, set_file):
     assert spaced[0] == 0 and spaced[1]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["audit", "--poly", "x + y", "--ggp", "-2^[3]", "--t", "1"],
+     "error: generators must be positive and not 1, got -2\n"),
+    (["sweep", "--poly", "x + y", "--family", "geometric:2", "--N", "-1,2"],
+     "error: sample sizes must be positive, got -1\n"),
+], ids=["ggp", "N"])
+def test_option_value_starting_with_minus_reaches_the_program(argv, message, capsys):
+    assert run_cli(argv, capsys) == (2, "", message)
+
+
+def test_set_path_starting_with_minus(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-A.txt").write_text("1\n2\n", encoding="utf-8")
+    code, out, _ = run_cli(["image", "--poly", "x + y", "--set", "-A.txt"], capsys)
+    assert (code, out) == (0, "size = 3\nvalues = {2, 3, 4}\n")
+
+
 @pytest.mark.parametrize("argv", [["image", "--poly", "--set", "a.txt"], ["classify", "--poly"]])
 def test_poly_without_a_value_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -248,12 +248,12 @@ def test_geometric_family_rejects_degenerate_ratio():
 def test_geometric_family_sample_matches_fraction_powers(ratio):
     for n in (1, 2, 7):
         expected = make_set([ratio**k for k in range(1, n + 1)])
-        assert GeometricFamily(ratio).sample(n, 100) == expected
+        assert GeometricFamily(ratio).sample(n, max_pairs=10_000) == expected
 
 
 def test_ggp_family_scales_dims():
     family = GGPFamily(GGP((Fraction(2), Fraction(3)), (1, 1)))
-    assert family.sample(2, 10_000) == make_set([1, 2, 3, 6])
+    assert family.sample(2, max_pairs=10**8) == make_set([1, 2, 3, 6])
     report = expansion_sweep(parse_poly("x + y"), family, [1, 2, 3])
     assert [row.set_size for row in report.rows] == [1, 4, 9]
 
@@ -268,7 +268,7 @@ def test_file_family(tmp_path):
     report = expansion_sweep(parse_poly("x + y"), family, [1, 2])
     assert [row.set_size for row in report.rows] == [2, 3]
     with pytest.raises(ValueError):
-        family.sample(3, 100)
+        family.sample(3, max_pairs=10_000)
 
 
 def test_parse_family():

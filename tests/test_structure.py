@@ -190,7 +190,19 @@ def test_ggp_power_examples():
 
 def test_ggp_power_cap():
     with pytest.raises(CapExceeded):
-        ggp_power(GGP((Fraction(2),), (100,)), 1, max_elements=10)
+        ggp_power(GGP((Fraction(2),), (100,)), 1, max_pairs=100)
+
+
+def test_box_builders_default_to_the_default_pair_budget():
+    # DEFAULT_MAX_PAIRS = 10^8 holds a generated set to 10^4 elements.
+    fits = GGP((Fraction(2), Fraction(3)), (100, 100))
+    assert len(ggp_power(fits, 1)) == 10_000
+    assert distinctness_check(fits, 1)
+    assert len(ggp_enumerate(fits)[1]) == 10_000
+    over = GGP((Fraction(2), Fraction(3)), (101, 100))
+    for build in (ggp_power, distinctness_check, ggp_enumerate):
+        with pytest.raises(CapExceeded, match="needs 10100 elements, above the cap of 10000"):
+            build(over, 1)
 
 
 def test_distinctness_examples():
@@ -230,9 +242,9 @@ def test_box_builders_match_fraction_oracle():
         g = GGP(tuple(rng.sample(pool, rank)), tuple(rng.randint(1, 3) for _ in range(rank)))
         for t in (1, 2, 3):
             members = reference.box_members(g, t)
-            scale, keyed = ggp_enumerate(g, t)
-            assert [(mu, Fraction(key, scale)) for mu, key in keyed] == members
+            scale, keys = ggp_enumerate(g, t)
             values = [value for _, value in members]
+            assert [Fraction(k, scale) for k in keys] == values
             assert ggp_power(g, t) == make_set(values)
             distinct = len(set(values)) == len(values)
             assert distinctness_check(g, t) == distinct
