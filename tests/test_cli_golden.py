@@ -11,7 +11,10 @@ audit cases on GGP boxes and on the ratio -3/2 were recorded while boxes
 and geometric samples were still built from Fraction products. The
 element-cap cases of the injectivity box, the `ggp` family and the `files`
 family were recorded while each caller still turned `--max-pairs` into its
-own element cap. A case with a `patch` wraps one library call seen by the
+own element cap. The `audit-dominated-*` cases, where a term outweighs
+the others at `(2, 2)` and every term is zero at `(0, 0)`, were recorded
+while the subsum check still ran its meet-in-the-middle on every term. A
+case with a `patch` wraps one library call seen by the
 CLI so that it reports a falsified bound, which exercises the exit-4 output
 that correct code never reaches.
 
