@@ -211,10 +211,11 @@ def cmd_audit(args: argparse.Namespace) -> Result:
             f, a, threshold=args.threshold, max_pairs=args.max_pairs
         )
         high = [format_key(k, report.scale) for k in report.high_multiplicity]
+        # Text prints the table only when the report is inconsistent.
         table = [
             {"value": format_key(k, report.scale), "clean": c, "dirty": d}
             for k, c, d in report.table
-        ]
+        ] if args.format == "json" or not report.consistent else []
         payload["subsum_audit"] = {
             "degree": report.degree,
             "support_size": report.support_size,

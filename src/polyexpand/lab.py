@@ -165,13 +165,16 @@ def audit_vanishing_subsums(
     # Term values and their sums are ints scaled by the same scale > 0, so
     # vanishing subsums, equal values and the value order are all exact.
     scale, rows = _pair_rows(f, a, a, max_pairs, "subsum audit")
+    support_size = len(f.support)
+    # Each pair's meet in the middle builds up to 2^ceil(m/2) subset sums.
+    sums = len(a) ** 2 * 2 ** ((support_size + 1) // 2)
+    check_budget(sums, max_pairs, "subsum audit", "subset sums")
     # counts[key] = [clean, dirty]; key 0 is the value 0.
     counts: dict[int, list[int]] = {}
     for columns in rows:
         for values in zip(*columns):
             counts.setdefault(sum(values), [0, 0])[zero_proper_subset_exists(values)] += 1
     degree = f.degree
-    support_size = len(f.support)
     dirty_bound = degree * degree * 2**support_size
     tau = dirty_bound if threshold is None else threshold
     table = tuple((k, c, d) for k, (c, d) in sorted(counts.items()))

@@ -365,17 +365,28 @@ def _mask_sums(values: Sequence[Fraction | int]) -> list[Fraction | int]:
 def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
     """Does any nonempty proper subset of values sum to zero?
 
-    Meet in the middle: both halves' subset sums are enumerated and joined
-    by hash to count the zero-sum subsets in O(2^(n/2)) instead of O(2^n).
-    The empty subset is always one of them, and the full set is one when
-    the whole sum vanishes; any further one is proper and nonempty.
+    A zero value is one by itself when there are others. Otherwise, while
+    the largest |v| left exceeds the sum of the other |w| left, it is
+    dropped: no vanishing subset can hold it, and the whole sum is not 0.
+    Meet in the middle on the kept values joins both halves' subset sums
+    by hash to count their zero-sum subsets in O(2^(n/2)), not O(2^n).
+    The empty subset is one, and the full set is one if its sum is 0; any
+    other misses a value, dropped or kept, so it is proper and nonempty.
     """
-    half = len(values) // 2
+    if 0 in values:
+        return len(values) > 1
+    kept = sorted(values, key=abs)
+    total = sum(map(abs, kept))
+    while kept and 2 * abs(kept[-1]) > total:
+        total -= abs(kept.pop())
+    if len(kept) < 2:
+        return False
+    half = len(kept) // 2
     # A plain dict: on 5-8 term values, Counter's setup costs more than the count.
     right_counts: dict[Fraction | int, int] = {}
-    for s in _mask_sums(values[half:]):
+    for s in _mask_sums(kept[half:]):
         right_counts[s] = right_counts.get(s, 0) + 1
     count = 0
-    for s in _mask_sums(values[:half]):
+    for s in _mask_sums(kept[:half]):
         count += right_counts.get(-s, 0)
     return count > 1 + (sum(values) == 0)

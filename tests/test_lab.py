@@ -139,6 +139,15 @@ def test_audit_pair_cap():
         audit_vanishing_subsums(parse_poly("x + y"), make_set([1, 2, 3]), max_pairs=4)
 
 
+def test_audit_charges_subset_sums_to_the_pair_budget():
+    # 16 pairs fit under 20, but 3 terms cost 2^2 subset sums per pair.
+    f = parse_poly("x^2 - y^2 + 4*x^3*y")
+    a = make_set([-1, 0, Fraction(1, 2), 2])
+    assert audit_vanishing_subsums(f, a, max_pairs=64).pairs == 16
+    with pytest.raises(CapExceeded, match="needs 64 subset sums, above the cap of 20"):
+        audit_vanishing_subsums(f, a, max_pairs=20)
+
+
 def test_subsum_paths_cap_the_support():
     # Degree <= 5 has 21 monomials; without x^5 it has 20, the largest support allowed.
     a = make_set([2, 3])

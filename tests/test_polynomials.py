@@ -25,7 +25,7 @@ from polyexpand import (
     parse_poly,
 )
 from polyexpand.polynomials import zero_proper_subset_exists
-from reference import proper_support_subsets, vanishing_subsets
+from reference import has_zero_proper_subsum, proper_support_subsets, vanishing_subsets
 
 
 @st.composite
@@ -247,6 +247,44 @@ def test_zero_subset_detector_matches_combinations(values):
         for combo in itertools.combinations(values, size)
     )
     assert zero_proper_subset_exists(values) == expected
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([0], False),
+        ([0, 5], True),
+        ([3, -1, -2], False),  # only the full set vanishes
+        ([4, 1, -1], True),  # 4 is dropped and 1 - 1 cancels
+        ([1, 2, 4, 8], False),  # every term is dropped
+    ],
+)
+def test_zero_subset_detector_pruned_cases(values, expected):
+    assert zero_proper_subset_exists(values) == expected
+
+
+@st.composite
+def pruning_lists(draw):
+    """Small ints with zeros and repeats, maybe a planted c, -c and dominating terms."""
+    values = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        c = draw(st.integers(min_value=-9, max_value=9))
+        values += [c, -c]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        # Above, at or just below the sum of the others' sizes.
+        size = sum(map(abs, values)) + draw(st.integers(min_value=-1, max_value=3))
+        values.append(draw(st.sampled_from([size, -size])))
+    return draw(st.permutations(values))
+
+
+_SHORT_FRACTIONS = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=6
+)
+
+
+@given(st.one_of(pruning_lists(), _SHORT_FRACTIONS))
+def test_zero_subset_detector_matches_reference(values):
+    assert zero_proper_subset_exists(values) == has_zero_proper_subsum(values)
 
 
 @st.composite
