@@ -14,9 +14,9 @@ family were recorded while each caller still turned `--max-pairs` into its
 own element cap. The `audit-dominated-*` cases, where a term outweighs
 the others at `(2, 2)` and every term is zero at `(0, 0)`, were recorded
 while the subsum check still ran its meet-in-the-middle on every term. A
-case with a `patch` wraps one library call seen by the
-CLI so that it reports a falsified bound, which exercises the exit-4 output
-that correct code never reaches.
+case with a `patch` wraps one library call seen by the CLI so that it
+reports a falsified bound, which exercises the exit-4 output that correct
+code never reaches.
 
 New cases are appended, never rewritten, by the recorder in this file:
 
