@@ -13,7 +13,10 @@ element-cap cases of the injectivity box, the `ggp` family and the `files`
 family were recorded while each caller still turned `--max-pairs` into its
 own element cap. The `audit-dominated-*` cases, where a term outweighs
 the others at `(2, 2)` and every term is zero at `(0, 0)`, were recorded
-while the subsum check still ran its meet-in-the-middle on every term. A
+while the subsum check still ran its meet-in-the-middle on every term.
+The sweep cases with unsorted or repeated sizes, a box whose products
+collide, a monomial polynomial and an element cap ahead of a zero
+size were recorded while every size of a ladder was walked on its own. A
 case with a `patch` wraps one library call seen by the CLI so that it
 reports a falsified bound, which exercises the exit-4 output that correct
 code never reaches.
