@@ -38,7 +38,7 @@ from .sets import (
     check_budget,
     check_elements,
     doubling_ratio,
-    productset_size,
+    ladder_sizes,
     read_set_file,
     value_multiplicities,
 )
@@ -333,6 +333,9 @@ def expansion_sweep(
 ) -> ExpansionReport:
     """Exact per-size image statistics plus the fitted growth exponent.
 
+    Every size is sampled first, in the given order, so size and budget errors
+    come as before; rows keep that order. A ladder whose samples nest, as
+    geometric and GGP samples do, is walked once (``sets.ladder_sizes``).
     Polynomials of the g(x^a y^b) shape are refused by default because they
     are exactly the shapes whose images stay small; pass allow_exceptional
     (CLI --allow-exceptional) to measure them anyway.
@@ -346,13 +349,17 @@ def expansion_sweep(
             ", so its image growth is degenerate; "
             "pass allow_exceptional=True (--allow-exceptional) to sweep it anyway",
         )
-    rows = []
+    samples: dict[int, RationalSet] = {}
     for n in sizes:
         if n < 1:
             raise ValueError(f"sample sizes must be positive, got {n}")
-        a = family.sample(n, max_pairs)
-        images = len(value_multiplicities(f, a, max_pairs))
-        products = productset_size(a, max_pairs)
+        samples[n] = family.sample(n, max_pairs)
+    ladder = sorted(samples)
+    counts = dict(zip(ladder, ladder_sizes(f, [samples[n] for n in ladder], max_pairs)))
+    rows = []
+    for n in sizes:
+        a = samples[n]
+        images, products = counts[n]
         rows.append(
             SweepRow(
                 N=n,

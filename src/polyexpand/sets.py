@@ -3,22 +3,24 @@
 A RationalSet is its ascending int keys k over one scale, the lcm of its
 denominators: its values are k/scale, and Fractions are built only on demand
 (``elements``). Sumsets, product sets, polynomial image sets, multiplicity
-histograms and polynomial energies all walk the |A| x |B| pair space through
-one integer kernel (``_pair_rows``), which reads the keys of both sets over
-one scale and turns every value f(x, y) into an int key scale*f(x, y) with a
-fixed scale > 0. So dedup, counts, energies, sort order and vanishing subsums
-are exact on plain ints, and ``image_keys`` returns sorted keys that the CLI
-prints without a Fraction. Energies cost O(|A|^2) pair work rather than
-O(|A|^4) quadruple work, and nothing here touches floating point.
+histograms, polynomial energies and sweep ladders all walk the pair space
+through one integer kernel: ``_clear`` and ``_rows`` read keys over one scale
+and turn every value f(x, y) into an int key scale*f(x, y) with a fixed scale
+> 0. ``_pair_rows`` walks |A| x |B|; ``ladder_sizes`` walks a ladder of nested
+sets once, in shells of new pairs. So dedup, counts, energies, sort order and
+vanishing subsums are exact on plain ints, and ``image_keys`` returns sorted
+keys that the CLI prints without a Fraction. Energies cost O(|A|^2) pair work
+rather than O(|A|^4) quadruple work, and nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, lt
 from pathlib import Path
@@ -123,42 +125,57 @@ SUM = BivariatePoly({(1, 0): 1, (0, 1): 1})
 PRODUCT = BivariatePoly({(1, 1): 1})
 
 
-def _pair_rows(
-    f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str,
-    merge: bool = False,
-) -> tuple[int, Iterator[list[list[int]]]]:
-    """The scale of f's int keys and, per x in a, its int term columns over b.
+def _clear(f: BivariatePoly, d: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """The scale L*d^deg of f's int keys over d, and f's terms (C, i, j) with int C.
 
-    With D = lcm(a.scale, b.scale) and L the lcm of f's coefficient
-    denominators, F(X, Y) = L*D^deg*f(X/D, Y/D) has the integer coefficients
-    C = L*c*D^(deg-i-j). Column k of x's row holds C_k*X^i_k*Y^j_k for every
-    y in b, with X = D*x and Y = D*y, so the columns sum to scale*f(x, y) for
-    scale = L*D^deg > 0, and v -> scale*v is injective and increasing. With
-    merge, the terms that share a power of Y share one column. The
-    budget is checked first; the zero polynomial has one all-zero column.
-    """
-    check_budget(len(a) * len(b), max_pairs, what)
+    With L the lcm of f's coefficient denominators, C = L*c*d^(deg-i-j), so the terms
+    at X = d*x, Y = d*y sum to scale*f(x, y); the zero polynomial has one zero term."""
     terms = f.terms or {(0, 0): Fraction(0)}
     degree = max(i + j for i, j in terms)
-    d = lcm(a.scale, b.scale)
     ratios = {ij: c.as_integer_ratio() for ij, c in terms.items()}
     coeff_lcm = lcm(*(q for _, q in ratios.values()))
     cleared = [
         (p * (coeff_lcm // q) * d ** (degree - i - j), i, j)
         for (i, j), (p, q) in ratios.items()
     ]
+    return coeff_lcm * d**degree, cleared
+
+
+def _rows(
+    cleared: list[tuple[int, int, int]], xs: Collection[int], ys: Collection[int],
+    merge: bool = False,
+) -> Iterator[list[list[int]]]:
+    """Per X in xs, its term columns C*X^i*Y^j over ys, which sum to the keys.
+
+    With merge, the terms that share a power of Y share one column."""
+    y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
+    for big_x in xs:
+        row = [(j, c * big_x**i) for c, i, j in cleared]  # once per x, not per y
+        if merge:
+            row = [(j, sum(k for jk, k in row if jk == j)) for j in y_pows]
+        yield [list(map(k.__mul__, y_pows[j])) for j, k in row]
+
+
+def _pair_rows(
+    f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str,
+    merge: bool = False,
+) -> tuple[int, Iterator[list[list[int]]]]:
+    """The scale of f's int keys and, per x in a, its ``_rows`` over b.
+
+    Both sets are read over D = lcm(a.scale, b.scale); the budget is checked first."""
+    check_budget(len(a) * len(b), max_pairs, what)
+    d = lcm(a.scale, b.scale)
+    scale, cleared = _clear(f, d)
     xs = [x * (d // a.scale) for x in a.keys]
     ys = [y * (d // b.scale) for y in b.keys]
-    y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
+    return scale, _rows(cleared, xs, ys, merge)
 
-    def rows() -> Iterator[list[list[int]]]:
-        for big_x in xs:
-            row = [(j, c * big_x**i) for c, i, j in cleared]  # once per x, not per y
-            if merge:
-                row = [(j, sum(k for jk, k in row if jk == j)) for j in y_pows]
-            yield [list(map(k.__mul__, y_pows[j])) for j, k in row]
 
-    return coeff_lcm * d**degree, rows()
+def _keys(columns: list[list[int]]) -> list[int]:
+    keys = columns[0]
+    for column in columns[1:]:
+        keys = list(map(add, keys, column))
+    return keys
 
 
 def _key_counts(
@@ -168,11 +185,38 @@ def _key_counts(
     scale, rows = _pair_rows(f, a, b, max_pairs, what, merge=True)
     counts: Counter = Counter()
     for columns in rows:
-        keys = columns[0]
-        for column in columns[1:]:
-            keys = list(map(add, keys, column))
-        counts.update(keys)
+        counts.update(_keys(columns))
     return scale, counts
+
+
+def ladder_sizes(
+    f: BivariatePoly, ladder: list[RationalSet], max_pairs: int = DEFAULT_MAX_PAIRS
+) -> list[tuple[int, int]]:
+    """(|f(A,A)|, |AA|) for each set A of a ladder, from one walk when the sets nest.
+
+    The last set's pairs are then walked over its scale d in shells: shell n is
+    the pairs of set n that are not pairs of set n-1, as rows of its new keys X,
+    f(X, Y) over set n and f(Y, X) over set n-1. The key maps are injective, so
+    a set's counts are the key set sizes after its shell. A ladder that does
+    not nest is walked one set at a time.
+    """
+    d = ladder[-1].scale
+    held = [{k * (d // a.scale) for k in a.keys} for a in ladder]
+    if any(d % a.scale for a in ladder) or not all(map(set.issubset, held, held[1:])):
+        return [ladder_sizes(f, [a], max_pairs)[0] for a in ladder]
+    check_budget(len(held[-1]) ** 2, max_pairs, "pair histogram")
+    sizes = []
+    for g in (f, PRODUCT):
+        cleared = _clear(g, d)[1]
+        flip = [(c, j, i) for c, i, j in cleared]
+        seen: set[int] = set()
+        sizes.append([])
+        for old, keys in zip([set()] + held, held):
+            new = keys - old
+            for columns in chain(_rows(cleared, new, keys, True), _rows(flip, new, old, True)):
+                seen.update(_keys(columns))
+            sizes[-1].append(len(seen))
+    return list(zip(*sizes))
 
 
 def sumset(

@@ -3,8 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genutil import all_monomials, random_nonexceptional_poly, random_set
+from genutil import (
+    all_monomials,
+    random_fraction,
+    random_ggp,
+    random_nonexceptional_poly,
+    random_poly,
+    random_set,
+)
 from polyexpand import (
     GGP,
     CapExceeded,
@@ -21,7 +30,10 @@ from polyexpand import (
     multiplicity_histogram,
     parse_family,
     parse_poly,
+    productset_size,
+    value_multiplicities,
 )
+from polyexpand import sets as sets_module
 
 
 def dyadic(n):
@@ -302,3 +314,96 @@ def test_sweep_determinism():
     first = expansion_sweep(parse_poly("x + y^2"), family, [4, 8])
     second = expansion_sweep(parse_poly("x + y^2"), family, [4, 8])
     assert first == second
+
+
+def sweep_counts(report):
+    return [(row.N, row.set_size, row.productset_size, row.image_size) for row in report.rows]
+
+
+def per_size_counts(f, family, sizes):
+    """Each row counted on its own sample by the per-set kernel."""
+    counts = []
+    for n in sizes:
+        a = family.sample(n)
+        counts.append((n, len(a), productset_size(a), len(value_multiplicities(f, a))))
+    return counts
+
+
+ratios = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(
+    lambda q: q not in (0, 1, -1)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.one_of(ratios.map(GeometricFamily), st.just("ggp")),
+    st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    st.sampled_from(["random", "nonexceptional", "constant", "monomial"]),
+)
+def test_sweep_ladder_matches_per_size_kernel(seed, family, sizes, shape):
+    rng = random.Random(seed)
+    if family == "ggp":
+        # at most 36 elements; the pool holds both 2 and 1/2, so boxes may collide
+        family = GGPFamily(random_ggp(rng, max_rank=2, max_dim=2))
+        sizes = [1 + n % 3 for n in sizes]
+    c = random_fraction(rng, nonzero=True)
+    f = {
+        "random": lambda: random_poly(rng),
+        "nonexceptional": lambda: random_nonexceptional_poly(rng),
+        "constant": lambda: parse_poly(str(c)),
+        "monomial": lambda: parse_poly(f"{c}*x^{rng.randint(0, 3)}*y^{rng.randint(0, 3)}"),
+    }[shape]()
+    report = expansion_sweep(f, family, sizes, allow_exceptional=shape != "nonexceptional")
+    assert sweep_counts(report) == per_size_counts(f, family, sizes)
+
+
+def write_family(tmp_path, *sets_text):
+    paths = []
+    for index, text in enumerate(sets_text):
+        path = tmp_path / f"set{index}.txt"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    return FileFamily(tuple(paths))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("1/2\n3\n", "1/2\n3\n-5/6\n7\n"),  # nests, on a finer scale
+        ("1/2\n3\n", "1/3\n3\n-5/6\n7\n"),  # 1/2 is gone
+        ("1\n2\n", "1/3\n2/3\n"),  # keys 1, 2 over the scale 3 are other values
+        ("1/3\n2/3\n", "0\n1/2\n"),  # the scale 3 does not divide 2
+    ],
+)
+def test_file_ladder_matches_per_size_kernel(tmp_path, first, second):
+    family = write_family(tmp_path, first, second)
+    f = parse_poly("x^2 + 3*y")
+    for sizes in ([1, 2], [2, 1, 2]):
+        report = expansion_sweep(f, family, sizes)
+        assert sweep_counts(report) == per_size_counts(f, family, sizes)
+
+
+def test_nested_ladder_walks_only_the_largest_pairs(tmp_path, monkeypatch):
+    walked = []
+    rows = sets_module._rows
+
+    def counting_rows(cleared, xs, ys, merge=False):
+        walked.append(len(xs) * len(ys))
+        return rows(cleared, xs, ys, merge)
+
+    monkeypatch.setattr(sets_module, "_rows", counting_rows)
+    f = parse_poly("x^2 + y")
+    expansion_sweep(f, GeometricFamily(Fraction(-3, 2)), [6, 2, 4, 4])
+    assert sum(walked) == 2 * 6**2  # f and the product set, each over A_6 x A_6 once
+    walked.clear()
+    expansion_sweep(f, write_family(tmp_path, "1\n2\n", "2\n3\n4\n"), [1, 2])
+    assert sum(walked) == 2 * (2**2 + 3**2)
+
+
+def test_sweep_checks_sizes_in_the_given_order():
+    f = parse_poly("x + y")
+    with pytest.raises(CapExceeded, match="needs 20000 elements"):
+        expansion_sweep(f, GeometricFamily(Fraction(2)), [20000, 0])
+    with pytest.raises(ValueError, match="positive, got 0"):
+        expansion_sweep(f, GeometricFamily(Fraction(2)), [0, 20000])
