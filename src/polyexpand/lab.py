@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 from .polynomials import (
     BivariatePoly,
@@ -62,8 +62,7 @@ class DistinctnessError(ValueError):
     """The box has colliding products, so exponent bookkeeping is ambiguous."""
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Per-value solution splits with the audited dirty-count bound.
 
     A table row (k, clean, dirty) splits the solutions in A x A of
@@ -94,8 +93,7 @@ class AuditReport:
     zero_value_full_sum_solutions: int
 
 
-@dataclass(frozen=True)
-class EnergyCheck:
+class EnergyCheck(NamedTuple):
     """Exact energy versus its guaranteed lower bound |A|^4 / |f(A,A)|."""
 
     energy: int
@@ -104,8 +102,7 @@ class EnergyCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     N: int
     set_size: int
     productset_size: int
@@ -114,8 +111,7 @@ class SweepRow:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Per-size image statistics and the fitted log-log growth exponent."""
 
     family: str
@@ -239,16 +235,15 @@ def cauchy_schwarz_check(
     return EnergyCheck(energy=e, image_size=len(counts), lower_bound=lower, holds=e >= lower)
 
 
-@dataclass(frozen=True)
-class GeometricFamily:
+class GeometricFamily(NamedTuple("GeometricFamily", [("ratio", Fraction)])):
     """Samples {q, q^2, ..., q^N} for a fixed rational ratio q."""
 
-    ratio: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
-        if self.ratio in (0, 1, -1):
+    def __new__(cls, ratio: Fraction | int) -> GeometricFamily:
+        if Fraction(ratio) in (0, 1, -1):
             raise ValueError("geometric ratio must not be 0, 1, or -1")
+        return super().__new__(cls, Fraction(ratio))
 
     def describe(self) -> str:
         return f"geometric({format_rational(self.ratio)})"
@@ -259,8 +254,7 @@ class GeometricFamily:
         return RationalSet.from_keys(q**n, [p**k * q ** (n - k) for k in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class GGPFamily:
+class GGPFamily(NamedTuple):
     """Samples the box with every dimension scaled by N."""
 
     base: GGP
@@ -272,15 +266,15 @@ class GGPFamily:
         return ggp_power(self.base, n, max_pairs)
 
 
-@dataclass(frozen=True)
-class FileFamily:
+class FileFamily(NamedTuple("FileFamily", [("paths", tuple[str, ...])])):
     """Fixed list of set files; sample N reads the N-th file (1-based)."""
 
-    paths: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.paths:
+    def __new__(cls, paths: tuple[str, ...]) -> FileFamily:
+        if not paths:
             raise ValueError("a file family needs at least one path")
+        return super().__new__(cls, paths)
 
     def describe(self) -> str:
         return f"files({', '.join(Path(p).name for p in self.paths)})"

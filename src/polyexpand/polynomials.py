@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .rational import RationalParseError, format_rational, parse_rational
 
@@ -190,8 +189,7 @@ class UnivariatePoly:
         return f"UnivariatePoly({str(self)!r})"
 
 
-@dataclass(frozen=True)
-class MonomialDecomposition:
+class MonomialDecomposition(NamedTuple):
     """Witness that f = g(x^a y^b); trivial marks constants and single monomials."""
 
     g: UnivariatePoly

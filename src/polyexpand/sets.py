@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, lt
 from pathlib import Path
+from typing import NamedTuple
 
 from .polynomials import BivariatePoly
 from .rational import RationalParseError, format_key, parse_rational
@@ -53,7 +53,6 @@ def check_elements(count: int, max_pairs: int, what: str) -> None:
     check_budget(count, max(1, isqrt(max_pairs)), what, "elements")
 
 
-@dataclass(frozen=True)
 class RationalSet:
     """A finite set of rationals: the values key/scale of strictly increasing keys.
 
@@ -61,8 +60,14 @@ class RationalSet:
     and every set has exactly one form; ``from_keys`` brings any keys to it.
     """
 
-    scale: int
-    keys: tuple[int, ...]
+    def __init__(self, scale: int, keys: tuple[int, ...]) -> None:
+        if not keys:
+            raise ValueError("a set must contain at least one element")
+        if scale < 1 or gcd(scale, *keys) != 1:
+            raise ValueError("the scale must be the lcm of the denominators")
+        if not all(map(lt, keys, keys[1:])):
+            raise ValueError("keys must be strictly increasing and distinct")
+        self.__dict__.update(scale=scale, keys=keys)
 
     @classmethod
     def from_keys(cls, scale: int, keys: Iterable[int]) -> RationalSet:
@@ -71,13 +76,19 @@ class RationalSet:
         g = gcd(scale, *distinct)
         return cls(scale // g, tuple(sorted([k // g for k in distinct])))
 
-    def __post_init__(self) -> None:
-        if not self.keys:
-            raise ValueError("a set must contain at least one element")
-        if self.scale < 1 or gcd(self.scale, *self.keys) != 1:
-            raise ValueError("the scale must be the lcm of the denominators")
-        if not all(map(lt, self.keys, self.keys[1:])):
-            raise ValueError("keys must be strictly increasing and distinct")
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scale, self.keys) == (other.scale, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.keys))
+
+    def __repr__(self) -> str:
+        return f"RationalSet(scale={self.scale!r}, keys={self.keys!r})"
 
     @cached_property
     def elements(self) -> tuple[Fraction, ...]:
@@ -149,11 +160,14 @@ def _rows(
 
     With merge, the terms that share a power of Y share one column."""
     y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
-    for big_x in xs:
-        row = [(j, c * big_x**i) for c, i, j in cleared]  # once per x, not per y
-        if merge:
-            row = [(j, sum(k for jk, k in row if jk == j)) for j in y_pows]
-        yield [list(map(k.__mul__, y_pows[j])) for j, k in row]
+    if merge:  # grouped once per call, not per x
+        groups = [(j, [(c, i) for c, i, jk in cleared if jk == j]) for j in y_pows]
+        for big_x in xs:
+            yield [list(map(sum([c * big_x**i for c, i in terms]).__mul__, y_pows[j]))
+                   for j, terms in groups]
+    else:
+        for big_x in xs:
+            yield [list(map((c * big_x**i).__mul__, y_pows[j])) for c, i, j in cleared]
 
 
 def _pair_rows(
@@ -261,8 +275,7 @@ def image_set(
     return RationalSet.from_keys(*image_keys(f, a, a if b is None else b, max_pairs))
 
 
-@dataclass(frozen=True)
-class MultiplicityHistogram:
+class MultiplicityHistogram(NamedTuple):
     """Map from each image value to its number of representing pairs.
 
     Keys ascend and are exactly the image set; counts sum to |A| * |A| for

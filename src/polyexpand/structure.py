@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rational import format_rational, parse_rational
 from .sets import DEFAULT_MAX_PAIRS, RationalSet, check_budget, check_elements
@@ -117,8 +117,7 @@ def multiplicative_rank(a: RationalSet) -> int:
     return _integer_rank(rows)
 
 
-@dataclass(frozen=True)
-class GGP:
+class GGP(NamedTuple("GGP", [("generators", tuple[Fraction, ...]), ("dims", tuple[int, ...])])):
     """Geometric-progression box g1^[H1] * ... * gr^[Hr].
 
     Holds the exponent boxes {0, ..., Hi - 1} per generator; dilating by t
@@ -126,12 +125,10 @@ class GGP:
     rationals other than 1. r = 0 gives the singleton {1}.
     """
 
-    generators: tuple[Fraction, ...]
-    dims: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(Fraction(g) for g in self.generators))
-        object.__setattr__(self, "dims", tuple(int(h) for h in self.dims))
+    def __new__(cls, generators: Iterable[Fraction | int], dims: Iterable[int]) -> GGP:
+        self = super().__new__(cls, tuple(map(Fraction, generators)), tuple(map(int, dims)))
         if len(self.generators) != len(self.dims):
             raise ValueError("one box dimension is needed per generator")
         for g in self.generators:
@@ -140,6 +137,7 @@ class GGP:
         for h in self.dims:
             if h < 1:
                 raise ValueError(f"box dimensions must be positive, got {h}")
+        return self
 
     def box_size(self, t: int = 1) -> int:
         return math.prod(t * h for h in self.dims)
@@ -242,14 +240,16 @@ def solve_exponent_system(
     return tuple(xs), tuple(ys)
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """Exact value of (8n)^(4 n^4 (n + n r + 1)) with a float log10."""
 
     n: int
     r: int
-    value: int = field(repr=False)
+    value: int
     log10: float
+
+    def __repr__(self) -> str:  # the value can have ~10^5 digits
+        return f"BoundValue(n={self.n!r}, r={self.r!r}, log10={self.log10!r})"
 
 
 def amoroso_viada_bound(n: int, r: int) -> BoundValue:

@@ -471,3 +471,15 @@ def test_type_error_is_not_a_usage_error(set_file, monkeypatch):
     monkeypatch.setattr(polyexpand.cli, "cmd_structure", broken)
     with pytest.raises(TypeError, match="defect"):
         main(["structure", "--set", set_file])
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Every invocation pays for what `import polyexpand.cli` loads; dataclasses
+    # alone brings inspect, ast, dis and tokenize. -S keeps a site-installed
+    # .pth file from importing them first (hiding a regression) or at all.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import polyexpand.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(polyexpand.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-S", "-c", code, src],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

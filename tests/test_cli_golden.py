@@ -30,7 +30,6 @@ and appends the result under ID, which must be new.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import sys
@@ -49,9 +48,9 @@ SETS = {
     "V": "2/7\n-1/9\n5\n1/6\n",
 }
 PATCHES = {
-    "inconsistent": ("audit_vanishing_subsums", lambda r: dataclasses.replace(r, consistent=False)),
+    "inconsistent": ("audit_vanishing_subsums", lambda r: r._replace(consistent=False)),
     "not_injective": ("audit_injectivity", lambda r: False),
-    "energy_fails": ("cauchy_schwarz_check", lambda r: dataclasses.replace(r, holds=False)),
+    "energy_fails": ("cauchy_schwarz_check", lambda r: r._replace(holds=False)),
 }
 GOLDEN = Path(__file__).parent / "cli_golden.json"
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))

@@ -175,6 +175,18 @@ def test_subsum_paths_cap_the_support():
             audit_vanishing_subsums(f, a, max_pairs=1)
 
 
+def test_reports_are_named_tuples():
+    a = make_set([1, 2, 4])
+    report = audit_vanishing_subsums(parse_poly("x^2 - y^2"), a)
+    falsified = report._replace(consistent=False)
+    assert (report.consistent, falsified.consistent) == (True, False)
+    assert falsified._replace(consistent=True) == report
+    check = cauchy_schwarz_check(parse_poly("x + y"), a)
+    energy, image_size, lower_bound, holds = check
+    assert (energy, image_size, lower_bound, holds) == (15, 6, Fraction(27, 2), True)
+    assert check._replace(holds=False) == (15, 6, Fraction(27, 2), False)
+
+
 def test_injectivity_single_generator():
     assert audit_injectivity(parse_poly("x*y + x^2*y^3"), GGP((Fraction(2),), (3,)), 5)
 
@@ -257,10 +269,15 @@ def test_sweep_override_single_monomial():
 
 
 def test_geometric_family_rejects_degenerate_ratio():
-    with pytest.raises(ValueError):
-        GeometricFamily(Fraction(1))
-    with pytest.raises(ValueError):
-        GeometricFamily(Fraction(0))
+    for ratio in (Fraction(1), Fraction(0), Fraction(-1), 1, 0, -1):
+        with pytest.raises(ValueError, match="must not be 0, 1, or -1"):
+            GeometricFamily(ratio)
+
+
+def test_geometric_family_coerces_its_ratio():
+    family = GeometricFamily(-3)
+    assert type(family.ratio) is Fraction and family == GeometricFamily(ratio=Fraction(-3))
+    assert family.describe() == "geometric(-3)"
 
 
 @pytest.mark.parametrize(
@@ -290,6 +307,10 @@ def test_file_family(tmp_path):
     assert [row.set_size for row in report.rows] == [2, 3]
     with pytest.raises(ValueError):
         family.sample(3, max_pairs=10_000)
+    with pytest.raises(ValueError, match="at least one path"):
+        FileFamily(())
+    with pytest.raises(ValueError, match="at least one path"):
+        parse_family("files: , ")
 
 
 def test_parse_family():

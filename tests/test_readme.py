@@ -18,4 +18,7 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(quick_start_code(), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "55"  # the README's comment on that line
+    assert lines[2] == (
+        "MonomialDecomposition(g=UnivariatePoly('t + t^2'), monomial=(1, 1), trivial=False)"
+    )
     assert len(lines) == 6

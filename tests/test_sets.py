@@ -109,6 +109,18 @@ def test_rational_set_enforces_order():
             RationalSet(scale, keys)
 
 
+def test_rational_set_is_an_immutable_value():
+    a = make_set([Fraction(1, 2), 2, Fraction(-3, 4)])
+    b = RationalSet.from_keys(8, [4, -6, 16, 4])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != make_set([2]) and a != (4, (-3, 2, 8))
+    assert repr(a) == "RationalSet(scale=4, keys=(-3, 2, 8))"
+    for name in ("scale", "keys", "elements", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    assert (a.scale, a.keys, a.elements) == (4, (-3, 2, 8), b.elements)
+
+
 def test_membership():
     a = make_set([1, 3, 5])
     assert Fraction(3) in a

@@ -166,14 +166,29 @@ def test_integer_rank_matches_gauss_oracle():
 
 
 def test_ggp_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive and not 1, got 1"):
         GGP((Fraction(1),), (2,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive and not 1, got -2"):
         GGP((Fraction(-2),), (2,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="box dimensions must be positive, got 0"):
         GGP((Fraction(2),), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one box dimension is needed per generator"):
         GGP((Fraction(2), Fraction(3)), (2,))
+    with pytest.raises(ValueError, match="positive and not 1, got 1"):
+        GGP(dims=[2], generators=[1])
+
+
+def test_ggp_coerces_its_fields_and_is_a_named_tuple():
+    g = GGP([2, Fraction(3, 2)], iter([2, 1]))
+    assert g.generators == (2, Fraction(3, 2)) and g.dims == (2, 1)
+    assert [type(v) for v in g.generators + g.dims] == [Fraction, Fraction, int, int]
+    assert g == GGP(generators=(Fraction(2), Fraction(3, 2)), dims=(2, 1))
+    generators, dims = g
+    assert (generators, dims) == g == ((2, Fraction(3, 2)), (2, 1))
+    assert hash(g) == hash(GGP((2, Fraction(3, 2)), (2, 1)))
+    assert repr(g) == "GGP(generators=(Fraction(2, 1), Fraction(3, 2)), dims=(2, 1))"
+    with pytest.raises(AttributeError):
+        g.dims = (3, 3)
 
 
 def test_empty_ggp_is_singleton():
