@@ -2,8 +2,8 @@
 
 `cli_golden.json` was recorded from the CLI as it stood before the parser
 was built once and output printed from one place, so these cases pin the
-bytes that rework had to keep. Argv entries `{A}`, `{B}`, `{S}`, `{U}` and
-`{V}` name the set files written below. `{U}` is unsorted and spells 1/2
+bytes that rework had to keep. Argv entries `{A}`, `{B}`, `{S}`, `{U}`, `{V}`
+and `{R}` name the set files written below. `{U}` is unsorted and spells 1/2
 three ways, and `{V}` has other denominators; the image case that reads
 them was recorded before set files were sorted on integer keys, and the
 audit cases on `{V}` before audits printed from integer keys. The sweep and
@@ -16,7 +16,10 @@ the others at `(2, 2)` and every term is zero at `(0, 0)`, were recorded
 while the subsum check still ran its meet-in-the-middle on every term.
 The sweep cases with unsorted or repeated sizes, a box whose products
 collide, a monomial polynomial and an element cap ahead of a zero
-size were recorded while every size of a ladder was walked on its own. A
+size were recorded while every size of a ladder was walked on its own.
+`{R}` is a dense set over the primes 2..13 whose rank is 4: its
+`structure-dense-*` cases were recorded while rank came from a Euclidean
+row reduction, and its exponent matrix needs a row swap to eliminate. A
 case with a `patch` wraps one library call seen by the CLI so that it
 reports a falsified bound, which exercises the exit-4 output that correct
 code never reaches.
@@ -46,6 +49,7 @@ SETS = {
     "S": "2\n3\n9/2\n",
     "U": "3/4\n-5/3\n0\n2/4\n7\n1/2\n-2\n0.5\n",
     "V": "2/7\n-1/9\n5\n1/6\n",
+    "R": "-51975/52\n-693/13\n-858/245\n-9/123032\n1/13663650\n6125/1144\n75/4\n",
 }
 PATCHES = {
     "inconsistent": ("audit_vanishing_subsums", lambda r: r._replace(consistent=False)),
