@@ -52,7 +52,6 @@ from .sets import (
     productset,
     productset_size,
     read_set_file,
-    sumset,
     value_multiplicities,
 )
 from .structure import (
@@ -119,6 +118,5 @@ __all__ = [
     "productset_size",
     "read_set_file",
     "solve_exponent_system",
-    "sumset",
     "value_multiplicities",
 ]

@@ -172,7 +172,7 @@ def cmd_energy(args: argparse.Namespace) -> Result:
 def cmd_structure(args: argparse.Namespace) -> Result:
     a = read_set_file(args.set_path)
     products = productset_size(a, args.max_pairs)
-    rank = multiplicative_rank(a)
+    rank = multiplicative_rank(a, args.max_pairs)
     doubling = Fraction(products, len(a))
     payload = {
         "command": "structure",

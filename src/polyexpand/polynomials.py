@@ -100,10 +100,6 @@ class BivariatePoly:
             if value != 0
         }
 
-    @classmethod
-    def constant(cls, value: Fraction | int) -> "BivariatePoly":
-        return cls({(0, 0): Fraction(value)})
-
     @property
     def terms(self) -> Mapping[ExponentPair, Fraction]:
         return MappingProxyType(self._terms)

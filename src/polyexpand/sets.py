@@ -2,7 +2,7 @@
 
 A RationalSet is its ascending int keys k over one scale, the lcm of its
 denominators: its values are k/scale, and Fractions are built only on demand
-(``elements``). Sumsets, product sets, polynomial image sets, multiplicity
+(``elements``). Product sets, polynomial image sets, multiplicity
 histograms, polynomial energies and sweep ladders all walk the pair space
 through one integer kernel: ``_clear`` and ``_rows`` read keys over one scale
 and turn every value f(x, y) into an int key scale*f(x, y) with a fixed scale
@@ -132,7 +132,6 @@ def read_set_file(path: str | Path) -> RationalSet:
     return make_set(values)
 
 
-SUM = BivariatePoly({(1, 0): 1, (0, 1): 1})
 PRODUCT = BivariatePoly({(1, 1): 1})
 
 
@@ -231,13 +230,6 @@ def ladder_sizes(
                 seen.update(_keys(columns))
             sizes[-1].append(len(seen))
     return list(zip(*sizes))
-
-
-def sumset(
-    a: RationalSet, b: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS
-) -> RationalSet:
-    """{x + y : x in a, y in b}, deduplicated."""
-    return image_set(SUM, a, b, max_pairs)
 
 
 def productset(

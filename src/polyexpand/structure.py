@@ -3,7 +3,7 @@
 Nonzero rationals factor into sign times an exponent vector over a
 pairwise-coprime base, so a set of them spans an integer lattice whose rank
 measures how few independent generators suffice multiplicatively. This
-module computes that rank by integer row reduction, enumerates
+module computes that rank by fraction-free (Bareiss) elimination, enumerates
 geometric-progression boxes g1^[H1] * ... * gr^[Hr] and their dilates as int
 keys over one scale (building no Fraction, and holding each box to the
 element cap of the pair budget), solves the 2x2 exponent systems
@@ -27,30 +27,26 @@ MAX_BOUND_DIGITS = 200_000
 
 
 def _integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via Euclidean row reduction to echelon form."""
-    rows = [list(row) for row in matrix if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        while True:
-            live = [i for i in range(rank, len(rows)) if rows[i][col] != 0]
-            if not live:
-                break
-            smallest = min(live, key=lambda i: abs(rows[i][col]))
-            rows[rank], rows[smallest] = rows[smallest], rows[rank]
-            pivot = rows[rank][col]
-            finished = True
-            for i in range(rank + 1, len(rows)):
-                if rows[i][col] != 0:
-                    quotient = rows[i][col] // pivot
-                    rows[i] = [a - quotient * b for a, b in zip(rows[i], rows[rank])]
-                    if rows[i][col] != 0:
-                        finished = False
-            if finished:
-                rank += 1
-                break
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Each row below the pivot row p_row becomes (p * row - row[col] * p_row) // prev,
+    where p is the pivot and prev the last pivot before it (1 at first). The division
+    is exact: every entry stays a minor of the input, so Hadamard's bound holds its size.
+    """
+    rows = [list(row) for row in matrix]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p_row = rows[rank]
+        p = p_row[col]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col]
+            rows[i] = [(p * x - c * y) // prev for x, y in zip(rows[i], p_row)]
+        prev = p
+        rank += 1
     return rank
 
 
@@ -99,11 +95,13 @@ def _coprime_base(integers: Iterable[int]) -> list[int]:
     return base
 
 
-def multiplicative_rank(a: RationalSet) -> int:
+def multiplicative_rank(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
     """Rank of the exponent lattice spanned by a's elements (signs ignored).
 
     {q, q^2, ...} has rank 1, multiplicatively independent elements add
     rank, and {1} (or {-1, 1}) has rank 0. The set must not contain 0.
+    Over a coprime base of m integers, elimination costs about
+    len(a) * m * min(len(a), m) entry updates, charged to max_pairs before it starts.
     """
     if 0 in a.keys:
         raise ValueError("0 is not in any multiplicative group; drop it first")
@@ -111,6 +109,8 @@ def multiplicative_rank(a: RationalSet) -> int:
     # scale/d out of the ints the base is refined from.
     reduced = [(abs(k) // g, a.scale // g) for k in a.keys for g in [math.gcd(k, a.scale)]]
     base = _coprime_base(dict.fromkeys(m for pair in reduced for m in pair))
+    updates = len(a) * len(base) * min(len(a), len(base))
+    check_budget(updates, max_pairs, "multiplicative rank", "entry updates")
     # Pairwise-coprime integers above 1 are multiplicatively independent, so
     # the rank over this base is the rank over the primes.
     rows = [[_strip(n, b)[0] - _strip(d, b)[0] for b in base] for n, d in reduced]

@@ -1,14 +1,18 @@
 import json
+import math
 import os
+import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import polyexpand
 from genutil import all_monomials
+from polyexpand import structure
 from polyexpand.cli import SWEEP_CSV_HEADER, main
 
 
@@ -405,6 +409,26 @@ def test_structure_cap_exit_3(capsys, set_file):
     assert "product set needs 9 pairs" in err and "--max-pairs" in err
     code, _, _ = run_cli(["structure", "--set", set_file, "--max-pairs", "9"], capsys)
     assert code == 0
+
+
+def test_structure_rank_over_its_budget_exit_3(capsys, tmp_path, monkeypatch):
+    # 30 elements over the first 30 primes: the product set needs 900 pairs,
+    # and the rank charges 30 * 30 * 30 entry updates before it eliminates.
+    primes = [p for p in range(2, 114) if all(p % d for d in range(2, p))]
+    rng = random.Random(30)
+    values = [math.prod(Fraction(p) ** rng.randint(-3, 3) for p in primes) for _ in range(30)]
+    path = tmp_path / "dense.txt"
+    path.write_text("".join(f"{v}\n" for v in values), encoding="utf-8")
+    monkeypatch.setattr(structure, "_integer_rank", lambda matrix: pytest.fail("eliminated"))
+    code, out, err = run_cli(["structure", "--set", str(path), "--max-pairs", "26999"], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: entry update budget exceeded: multiplicative rank needs 27000 entry updates, "
+        "above the cap of 26999; raise it with --max-pairs\n"
+    )
+    monkeypatch.undo()
+    code, out, _ = run_cli(["structure", "--set", str(path), "--max-pairs", "27000"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "rank = 30")
 
 
 def test_json_outputs_are_byte_stable(capsys, set_file):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from genutil import random_fraction, random_ggp, random_set
@@ -163,6 +165,66 @@ def test_integer_rank_matches_gauss_oracle():
     # rank-deficient products of a thin matrix are a classic trap
     base = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 2, 5]]
     assert _integer_rank(base) == gauss_rank(base) == 2
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square, tall and wide matrices up to 12 x 12 with entries of both signs,
+    zeroed rows and columns, and rows planted as integer combinations of others."""
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows:
+        index = st.integers(0, nrows - 1)
+        for i in draw(st.lists(index, max_size=2)):
+            rows[i] = [0] * ncols
+        for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+        for i in draw(st.lists(index, max_size=3)):
+            coefficients = draw(st.lists(st.integers(-4, 4), min_size=nrows, max_size=nrows))
+            coefficients[i] = 0
+            rows[i] = [sum(c * row[j] for c, row in zip(coefficients, rows)) for j in range(ncols)]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_integer_rank_matches_gauss_on_dense_and_deficient_matrices(matrix):
+    from polyexpand.structure import _integer_rank
+
+    assert _integer_rank(matrix) == gauss_rank(matrix)
+
+
+def test_integer_rank_of_a_dense_60_by_60_matrix_plus_a_dependent_row():
+    from polyexpand.structure import _integer_rank
+
+    rng = random.Random(60)
+    n = 60
+    lower = [[rng.randint(-1, 1) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rng.randint(-1, 1) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    # Both factors are unitriangular, so the dense product has determinant 1.
+    matrix = [[sum(map(math.prod, zip(row, col))) for col in zip(*upper)] for row in lower]
+    matrix.append([3 * x - 2 * y for x, y in zip(matrix[7], matrix[41])])
+    assert _integer_rank(matrix) == 60
+    assert _integer_rank(matrix[::-1]) == 60
+    # Without row 0, the planted row adds nothing to rows 1..59.
+    assert _integer_rank(matrix[1:]) == 59
+
+
+def test_rank_budget_is_charged_before_elimination(monkeypatch):
+    from polyexpand import structure
+
+    # Four elements over the base {2, 3, 5, 7}: 4 * 4 * min(4, 4) entry updates.
+    a = make_set([2, 3, 6, Fraction(5, 7)])
+    assert multiplicative_rank(a, max_pairs=64) == 3
+    monkeypatch.setattr(structure, "_integer_rank", lambda matrix: pytest.fail("eliminated"))
+    with pytest.raises(CapExceeded) as info:
+        multiplicative_rank(a, max_pairs=63)
+    assert str(info.value) == (
+        "entry update budget exceeded: multiplicative rank needs 64 entry updates, "
+        "above the cap of 63; raise it with --max-pairs"
+    )
 
 
 def test_ggp_validation():
