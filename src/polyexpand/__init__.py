@@ -33,7 +33,6 @@ from .polynomials import (
     PolyParseError,
     UnivariatePoly,
     classify_monomial_composition,
-    compose,
     format_monomial,
     non_parallel_witnesses,
     parse_poly,
@@ -96,7 +95,6 @@ __all__ = [
     "audit_vanishing_subsums",
     "cauchy_schwarz_check",
     "classify_monomial_composition",
-    "compose",
     "distinctness_check",
     "doubling_ratio",
     "energy",

@@ -17,8 +17,10 @@ log |f(A,A)| against log |A| over parameterized set families.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress
 from math import comb
 from pathlib import Path
 from typing import NamedTuple
@@ -28,12 +30,13 @@ from .polynomials import (
     classify_monomial_composition,
     format_monomial,
     non_parallel_witnesses,
-    zero_proper_subset_exists,
+    zero_proper_subset_flags,
 )
 from .rational import format_rational, parse_rational
 from .sets import (
     DEFAULT_MAX_PAIRS,
     RationalSet,
+    _keys,
     _pair_rows,
     check_budget,
     check_elements,
@@ -165,15 +168,16 @@ def audit_vanishing_subsums(
     # Each pair's meet in the middle builds up to 2^ceil(m/2) subset sums.
     sums = len(a) ** 2 * 2 ** ((support_size + 1) // 2)
     check_budget(sums, max_pairs, "subsum audit", "subset sums")
-    # counts[key] = [clean, dirty]; key 0 is the value 0.
-    counts: dict[int, list[int]] = {}
+    # Pairs per key, all and dirty; key 0 is the value 0.
+    totals, dirty = Counter(), Counter()
     for columns in rows:
-        for values in zip(*columns):
-            counts.setdefault(sum(values), [0, 0])[zero_proper_subset_exists(values)] += 1
+        keys = _keys(columns)
+        totals.update(keys)
+        dirty.update(compress(keys, zero_proper_subset_flags(columns)))
     degree = f.degree
     dirty_bound = degree * degree * 2**support_size
     tau = dirty_bound if threshold is None else threshold
-    table = tuple((k, c, d) for k, (c, d) in sorted(counts.items()))
+    table = tuple((k, n - dirty[k], dirty[k]) for k, n in sorted(totals.items()))
     bad = tuple(k for k, _, d in table if d > dirty_bound)
     k_floor = max(1, math.floor(doubling_ratio(a, max_pairs)))
     return AuditReport(
@@ -189,7 +193,7 @@ def audit_vanishing_subsums(
         threshold=tau,
         high_multiplicity=tuple(k for k, c, d in table if c + d > tau),
         theoretical_threshold_log10=bound_log10(comb(degree + 2, 2), k_floor),
-        zero_value_full_sum_solutions=counts.get(0, [0, 0])[0],
+        zero_value_full_sum_solutions=totals[0] - dirty[0],
     )
 
 

@@ -15,7 +15,7 @@ is read by rational.parse_rational. A leading "-" negates the first term;
 a missing exponent means 1. Printing emits text this grammar accepts, so
 parse(str(f)) == f.
 
-Beyond parsing and evaluation, this module decides whether a polynomial is
+Beyond parsing and printing, this module decides whether a polynomial is
 a univariate polynomial composed with a single monomial, f = g(x^a y^b),
 which holds exactly when no two support exponents are non-parallel, and
 provides the vanishing-subsum machinery: a proper subsum of f at a
@@ -25,10 +25,11 @@ of the support.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import accumulate, compress, count
 from math import gcd
+from operator import gt
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
@@ -121,12 +122,6 @@ class BivariatePoly:
             raise ValueError("the zero polynomial has no degree")
         return max(i + j for i, j in self._terms)
 
-    def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (i, j), coefficient in self._terms.items():
-            total += coefficient * x**i * y**j
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
@@ -163,12 +158,6 @@ class UnivariatePoly:
             raise ValueError("the zero polynomial has no degree")
         return len(self.coefficients) - 1
 
-    def evaluate(self, t: Fraction) -> Fraction:
-        total = Fraction(0)
-        for coefficient in reversed(self.coefficients):
-            total = total * t + coefficient
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnivariatePoly):
             return NotImplemented
@@ -178,7 +167,7 @@ class UnivariatePoly:
         return hash(self.coefficients)
 
     def __str__(self) -> str:
-        powers = ("1" if k == 0 else "t" if k == 1 else f"t^{k}" for k in itertools.count())
+        powers = ("1" if k == 0 else "t" if k == 1 else f"t^{k}" for k in count())
         return _join_terms((t, c) for t, c in zip(powers, self.coefficients) if c)
 
     def __repr__(self) -> str:
@@ -295,18 +284,6 @@ def parse_poly(text: str) -> BivariatePoly:
     return _PolyParser(text).parse()
 
 
-def compose(g: UnivariatePoly, monomial: ExponentPair) -> BivariatePoly:
-    """Build g(x^a y^b) as a bivariate polynomial."""
-    a, b = monomial
-    if a < 0 or b < 0:
-        raise ValueError("monomial exponents must be non-negative")
-    terms: list[tuple[ExponentPair, Fraction]] = []
-    for power, coefficient in enumerate(g.coefficients):
-        if coefficient != 0:
-            terms.append(((power * a, power * b), coefficient))
-    return BivariatePoly(terms)
-
-
 def classify_monomial_composition(f: BivariatePoly) -> MonomialDecomposition | None:
     """Decide whether f = g(x^a y^b) for a univariate g and single monomial.
 
@@ -314,9 +291,9 @@ def classify_monomial_composition(f: BivariatePoly) -> MonomialDecomposition | N
     Otherwise every support vector is a multiple of one direction, and the
     monomial (a, b) = (gcd of the x exponents, gcd of the y exponents) is
     maximal: the term (i, j) = k*(a, b) is g's t^k term, the degrees of
-    g's nonconstant terms have gcd 1, and compose(g, monomial) reproduces f
-    term for term. Constants and single monomials decompose trivially and
-    carry the trivial flag.
+    g's nonconstant terms have gcd 1, and g(x^a y^b) reproduces f term for
+    term. Constants and single monomials decompose trivially and carry the
+    trivial flag.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial cannot be classified")
@@ -384,3 +361,19 @@ def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
     for s in _mask_sums(kept[:half]):
         count += right_counts.get(-s, 0)
     return count > 1 + (sum(values) == 0)
+
+
+
+def zero_proper_subset_flags(columns: Sequence[Sequence[Fraction | int]]) -> list[bool]:
+    """zero_proper_subset_exists on each pair of a row, given as one column per term.
+
+    A pair whose sorted magnitudes are nonzero and each above the sum of the
+    smaller ones is clean, as the prune above keeps one value at most. That
+    test runs on builtins over the row; only the other pairs reach the check.
+    """
+    pairs = list(zip(*columns))
+    magnitudes = map(sorted, zip(*[map(abs, column) for column in columns]))
+    flags = [not (s[0] and all(map(gt, s[1:], accumulate(s)))) for s in magnitudes]
+    for i in compress(range(len(pairs)), flags):
+        flags[i] = zero_proper_subset_exists(pairs[i])
+    return flags

@@ -19,13 +19,20 @@ from polyexpand import (
     PolyParseError,
     UnivariatePoly,
     classify_monomial_composition,
-    compose,
     format_monomial,
     non_parallel_witnesses,
     parse_poly,
 )
-from polyexpand.polynomials import zero_proper_subset_exists
-from reference import has_zero_proper_subsum, proper_support_subsets, vanishing_subsets
+from polyexpand import polynomials
+from polyexpand.polynomials import zero_proper_subset_exists, zero_proper_subset_flags
+from reference import (
+    compose,
+    evaluate,
+    evaluate_univariate,
+    has_zero_proper_subsum,
+    proper_support_subsets,
+    vanishing_subsets,
+)
 
 
 @st.composite
@@ -121,9 +128,9 @@ def test_print_parse_round_trip(f):
 
 
 def test_evaluate():
-    assert parse_poly("x^2*y^3").evaluate(Fraction(2), Fraction(2)) == 32
-    assert parse_poly("x*y + x^2*y^2").evaluate(Fraction(1), Fraction(-1)) == 0
-    assert parse_poly("7").evaluate(Fraction(3, 5), Fraction(-8)) == 7
+    assert evaluate(parse_poly("x^2*y^3"), Fraction(2), Fraction(2)) == 32
+    assert evaluate(parse_poly("x*y + x^2*y^2"), Fraction(1), Fraction(-1)) == 0
+    assert evaluate(parse_poly("7"), Fraction(3, 5), Fraction(-8)) == 7
 
 
 def test_support_and_degree():
@@ -257,6 +264,8 @@ def test_zero_subset_detector_matches_combinations(values):
         ([3, -1, -2], False),  # only the full set vanishes
         ([4, 1, -1], True),  # 4 is dropped and 1 - 1 cancels
         ([1, 2, 4, 8], False),  # every term is dropped
+        ([1, 2, 3], False),  # 3 ties 1 + 2: nothing is dropped, only the full set vanishes
+        ([1, 2, -3], False),
     ],
 )
 def test_zero_subset_detector_pruned_cases(values, expected):
@@ -285,6 +294,56 @@ _SHORT_FRACTIONS = st.lists(
 @given(st.one_of(pruning_lists(), _SHORT_FRACTIONS))
 def test_zero_subset_detector_matches_reference(values):
     assert zero_proper_subset_exists(values) == has_zero_proper_subsum(values)
+
+
+@st.composite
+def subsum_rows(draw):
+    """Pairs of one term count, as rows of the audit hold them.
+
+    Values are small or 2^64-sized ints of both signs, with zeros and repeats;
+    a pair may hold a planted c, -c and a tail of magnitudes each at, above or
+    just below the sum of the ones before it.
+    """
+    terms = draw(st.integers(min_value=0, max_value=8))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        values = draw(st.lists(_SUBSUM_INTS, min_size=terms, max_size=terms))
+        if terms >= 2 and draw(st.booleans()):
+            c = draw(_SUBSUM_INTS)
+            values[:2] = [c, -c]
+        for k in range(draw(st.integers(min_value=0, max_value=terms)), terms):
+            size = sum(map(abs, values[:k])) + draw(st.integers(min_value=-1, max_value=3))
+            values[k] = draw(st.sampled_from([size, -size]))
+        pairs.append(draw(st.permutations(values)))
+    return terms, pairs
+
+
+@given(subsum_rows())
+def test_zero_subset_flags_match_reference(row):
+    terms, pairs = row
+    columns = [[values[t] for values in pairs] for t in range(terms)]
+    before = [column[:] for column in columns]
+    flags = zero_proper_subset_flags(columns)
+    # With no terms a row has no columns, so it holds no pairs.
+    assert len(flags) == (len(pairs) if terms else 0)
+    assert flags == [has_zero_proper_subsum(values) for values in zip(*columns)]
+    assert columns == before
+
+
+def test_zero_subset_flags_settle_superincreasing_pairs_without_a_call(monkeypatch):
+    calls = []
+    exact = polynomials.zero_proper_subset_exists
+    monkeypatch.setattr(
+        polynomials, "zero_proper_subset_exists", lambda values: calls.append(values) or exact(values)
+    )
+    pairs = [(1, -2, 4), (3, 7, -20), (-17, 11, 5)]
+    columns = [list(column) for column in zip(*pairs)]
+    assert zero_proper_subset_flags(columns) == [False] * 3
+    assert calls == []
+    tied = [(1, -2, 4), (1, 2, -3), (-17, 11, 5)]
+    columns = [list(column) for column in zip(*tied)]
+    assert zero_proper_subset_flags(columns) == [False] * 3
+    assert calls == [(1, 2, -3)]
 
 
 @st.composite
@@ -417,7 +476,7 @@ def test_evaluate_compatible_with_composition():
         f = compose(g, (a, b))
         x = random_fraction(rng, nonzero=True)
         y = random_fraction(rng, nonzero=True)
-        assert f.evaluate(x, y) == g.evaluate(x**a * y**b)
+        assert evaluate(f, x, y) == evaluate_univariate(g, x**a * y**b)
 
 
 def test_format_monomial():
@@ -430,7 +489,7 @@ def test_format_monomial():
 def test_univariate_str_and_evaluate():
     g = UnivariatePoly([Fraction(1), Fraction(-1, 2), Fraction(3)])
     assert str(g) == "1 - 1/2*t + 3*t^2"
-    assert g.evaluate(Fraction(2)) == 1 - 1 + 12
+    assert evaluate_univariate(g, Fraction(2)) == 1 - 1 + 12
     assert UnivariatePoly([]).is_zero
     assert UnivariatePoly([0, 0]).is_zero
 

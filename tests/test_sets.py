@@ -20,6 +20,7 @@ from polyexpand import (
     productset,
     read_set_file,
 )
+from reference import evaluate
 
 
 SUM = parse_poly("x + y")  # the sumset A + B is the image of x + y
@@ -33,7 +34,7 @@ def dyadic(n):
 
 
 def naive_pair_values(f, a):
-    return [f.evaluate(x, y) for x in a for y in a]
+    return [evaluate(f, x, y) for x in a for y in a]
 
 
 def naive_energy(f, a):
