@@ -25,9 +25,10 @@ of the support.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress
 from math import gcd
 from operator import gt
 from types import MappingProxyType
@@ -167,7 +168,7 @@ class UnivariatePoly:
         return hash(self.coefficients)
 
     def __str__(self) -> str:
-        powers = ("1" if k == 0 else "t" if k == 1 else f"t^{k}" for k in count())
+        powers = ("1" if k == 0 else "t" if k == 1 else f"t^{k}" for k in itertools.count())
         return _join_terms((t, c) for t, c in zip(powers, self.coefficients) if c)
 
     def __repr__(self) -> str:
@@ -361,7 +362,6 @@ def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
     for s in _mask_sums(kept[:half]):
         count += right_counts.get(-s, 0)
     return count > 1 + (sum(values) == 0)
-
 
 
 def zero_proper_subset_flags(columns: Sequence[Sequence[Fraction | int]]) -> list[bool]:
