@@ -19,13 +19,13 @@ collide, a monomial polynomial and an element cap ahead of a zero
 size were recorded while every size of a ladder was walked on its own.
 `{R}` is a dense set over the primes 2..13 whose rank is 4: its
 `structure-dense-*` cases were recorded while rank came from a Euclidean
-row reduction, and its exponent matrix needs a row swap to eliminate. The `audit-tied-magnitudes-*` cases,
-whose magnitudes 1, 2, 3 tie at (-1, -1) and whose terms vanish at x = 0,
-and the `audit-paired-terms-*` cases, eight terms in c/-c pairs on `{S}`,
-were recorded while the audit still checked each pair with its own call. A
-case with a `patch` wraps one library call seen by the CLI so that it
-reports a falsified bound, which exercises the exit-4 output that correct
-code never reaches.
+row reduction, and its exponent matrix needs a row swap to eliminate.
+The `audit-tied-magnitudes-*` cases, whose magnitudes 1, 2, 3 tie at
+(-1, -1) and whose terms vanish at x = 0, and the `audit-paired-terms-*`
+cases, eight terms in c/-c pairs on `{S}`, were recorded while the audit
+still checked each pair with its own call. A case with a `patch` wraps
+one library call seen by the CLI so that it reports a falsified bound,
+which exercises the exit-4 output that correct code never reaches.
 
 New cases are appended, never rewritten, by the recorder in this file:
 

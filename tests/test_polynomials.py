@@ -264,8 +264,8 @@ def test_zero_subset_detector_matches_combinations(values):
         ([3, -1, -2], False),  # only the full set vanishes
         ([4, 1, -1], True),  # 4 is dropped and 1 - 1 cancels
         ([1, 2, 4, 8], False),  # every term is dropped
-        ([1, 2, 3], False),  # 3 ties 1 + 2: nothing is dropped, only the full set vanishes
-        ([1, 2, -3], False),
+        ([1, 2, 3], False),  # 3 ties 1 + 2, so nothing is dropped; no subset vanishes
+        ([1, 2, -3], False),  # the same tie; only the full set vanishes
     ],
 )
 def test_zero_subset_detector_pruned_cases(values, expected):
@@ -333,9 +333,12 @@ def test_zero_subset_flags_match_reference(row):
 def test_zero_subset_flags_settle_superincreasing_pairs_without_a_call(monkeypatch):
     calls = []
     exact = polynomials.zero_proper_subset_exists
-    monkeypatch.setattr(
-        polynomials, "zero_proper_subset_exists", lambda values: calls.append(values) or exact(values)
-    )
+
+    def counted(values):
+        calls.append(values)
+        return exact(values)
+
+    monkeypatch.setattr(polynomials, "zero_proper_subset_exists", counted)
     pairs = [(1, -2, 4), (3, 7, -20), (-17, 11, 5)]
     columns = [list(column) for column in zip(*pairs)]
     assert zero_proper_subset_flags(columns) == [False] * 3
