@@ -23,9 +23,12 @@ row reduction, and its exponent matrix needs a row swap to eliminate.
 The `audit-tied-magnitudes-*` cases, whose magnitudes 1, 2, 3 tie at
 (-1, -1) and whose terms vanish at x = 0, and the `audit-paired-terms-*`
 cases, eight terms in c/-c pairs on `{S}`, were recorded while the audit
-still checked each pair with its own call. A case with a `patch` wraps
-one library call seen by the CLI so that it reports a falsified bound,
-which exercises the exit-4 output that correct code never reaches.
+still checked each pair with its own call. The `*-poly-bad-exponent`,
+`*-poly-bad-factor` and `*-poly-zero-denominator` cases, which exit 2 on
+polynomial text, were recorded while a hand-written character scanner
+still parsed it. A case with a `patch` wraps one library call seen by the
+CLI so that it reports a falsified bound, which exercises the exit-4
+output that correct code never reaches.
 
 New cases are appended, never rewritten, by the recorder in this file:
 

@@ -88,32 +88,48 @@ def test_parse_zero():
     assert parse_poly("x - x").is_zero
 
 
+LIMIT = "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"
+
+
+PARSE_ERRORS = [
+    ("x^^2", 2, "exponent must be an unsigned integer"),
+    ("z", 0, "unknown variable 'z' (only x and y are allowed)"),
+    ("w*x", 0, "unknown variable 'w' (only x and y are allowed)"),
+    ("2x", 1, "expected '+' or '-'"),
+    ("x^2 y", 4, "expected '+' or '-'"),
+    ("x*2", 2, "expected a variable factor after '*'"),
+    ("1/0*x", 3, "zero denominator"),
+    ("1/00*x", 4, "zero denominator"),
+    ("1/", 2, "expected a denominator"),
+    (".", 1, "expected digits in decimal"),
+    ("", 0, "expected a term"),
+    ("x + ", 4, "expected a term"),
+    ("x^-2", 2, "exponent must be an unsigned integer"),
+    ("x*", 2, "expected a variable factor after '*'"),
+    # superscripts pass str.isdigit but not int(): only decimal digits count
+    ("x^\u00b2", 2, "exponent must be an unsigned integer"),
+    ("\u00b2*x", 0, "expected a term"),
+    ("2*x^\u00b3", 4, "exponent must be an unsigned integer"),
+]
+# literals past the interpreter's 4300-digit int-string limit
+LONG_PARSE_ERRORS = [
+    pytest.param("x^" + "9" * 5000, 2, LIMIT, id="long-exponent"),
+    pytest.param("x - " + "7" * 5000 + "*y", 4, LIMIT, id="long-coefficient"),
+    pytest.param("x + 1/" + "7" * 5000 + "*y", 4, LIMIT, id="long-denominator"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,position",
-    [
-        ("x^^2", 2),
-        ("z", 0),
-        ("2x", 1),
-        ("x*2", 2),
-        ("1/0*x", 3),
-        ("", 0),
-        ("x + ", 4),
-        ("x^-2", 2),
-        ("x*", 2),
-        # superscripts pass str.isdigit but not int(): only decimal digits count
-        ("x^\u00b2", 2),
-        ("\u00b2*x", 0),
-        ("2*x^\u00b3", 4),
-        # literals past the interpreter's 4300-digit int-string limit
-        pytest.param("x^" + "9" * 5000, 2, id="long-exponent"),
-        pytest.param("x - " + "7" * 5000 + "*y", 4, id="long-coefficient"),
-        pytest.param("x + 1/" + "7" * 5000 + "*y", 4, id="long-denominator"),
-    ],
+    "text,position,message",
+    PARSE_ERRORS + LONG_PARSE_ERRORS,
+    # ids name the text and position only, as they did before messages were pinned
+    ids=[f"{text}-{position}" for text, position, _ in PARSE_ERRORS] + [None] * 3,
 )
-def test_parse_errors_carry_positions(text, position):
+def test_parse_errors_carry_positions(text, position, message):
     with pytest.raises(PolyParseError) as excinfo:
         parse_poly(text)
     assert excinfo.value.position == position
+    assert str(excinfo.value) == f"{message} at position {position}"
 
 
 def test_str_is_canonical():
