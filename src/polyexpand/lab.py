@@ -40,8 +40,8 @@ from .sets import (
     _pair_rows,
     check_budget,
     check_elements,
-    doubling_ratio,
     ladder_sizes,
+    productset_size,
     read_set_file,
     value_multiplicities,
 )
@@ -179,7 +179,7 @@ def audit_vanishing_subsums(
     tau = dirty_bound if threshold is None else threshold
     table = tuple((k, n - dirty[k], dirty[k]) for k, n in sorted(totals.items()))
     bad = tuple(k for k, _, d in table if d > dirty_bound)
-    k_floor = max(1, math.floor(doubling_ratio(a, max_pairs)))
+    k_floor = max(1, productset_size(a, max_pairs) // len(a))
     return AuditReport(
         degree=degree,
         support_size=support_size,

@@ -9,11 +9,11 @@ and iteration are deterministic. The text grammar (whitespace-insensitive):
     factor := ("x"|"y") ("^" uint)?
     coef   := uint ("/" uint)? | decimal
 
-A uint is a run of decimal digits (str.isdecimal). The parser finds each
-coef's extent and reports its errors with a position; the literal itself
-is read by rational.parse_rational. A leading "-" negates the first term;
-a missing exponent means 1. Printing emits text this grammar accepts, so
-parse(str(f)) == f.
+A uint is a run of decimal digits (str.isdecimal). Three regular
+expressions match whitespace, coefs and factors; each error carries its
+position, and rational.parse_rational reads each literal. A leading "-"
+negates the first term; a missing exponent means 1. Printing emits text
+this grammar accepts, so parse(str(f)) == f.
 
 Beyond parsing and printing, this module decides whether a polynomial is
 a univariate polynomial composed with a single monomial, f = g(x^a y^b),
@@ -26,13 +26,14 @@ of the support.
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd
 from operator import gt
 from types import MappingProxyType
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .rational import RationalParseError, format_rational, parse_rational
 
@@ -183,106 +184,65 @@ class MonomialDecomposition(NamedTuple):
     trivial: bool
 
 
-class _PolyParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# Not re.ASCII: \s is str.isspace and \d is str.isdecimal.
+_SPACE = re.compile(r"\s*")
+_COEF = re.compile(r"(\d*)(?:\.(\d*)|/(\d*))?")
+_FACTOR = re.compile(r"([xy])(?:\^(\d*))?")
 
-    def fail(self, message: str) -> NoReturn:
-        raise PolyParseError(message, self.pos)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def parse(self) -> BivariatePoly:
-        self.skip_ws()
-        negate = False
-        if self.peek() == "-":
-            self.pos += 1
-            negate = True
-        terms: list[tuple[ExponentPair, Fraction]] = []
-        while True:
-            pair, coefficient = self.term()
-            terms.append((pair, -coefficient if negate else coefficient))
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                break
-            op = self.peek()
-            if op not in "+-":
-                self.fail("expected '+' or '-'")
-            self.pos += 1
-            negate = op == "-"
-        return BivariatePoly(terms)
-
-    def term(self) -> tuple[ExponentPair, Fraction]:
-        self.skip_ws()
-        exponents = [0, 0]
-        # missing: the error if the next factor is absent; None once it is optional.
-        if self.peek().isdecimal() or self.peek() == ".":
-            coefficient, missing = self.coefficient(), None
-        else:
-            coefficient, missing = Fraction(1), "expected a term"
-        while True:
-            if missing is None:
-                self.skip_ws()
-                if self.peek() != "*":
-                    return (exponents[0], exponents[1]), coefficient
-                self.pos += 1
-                self.skip_ws()
-                missing = "expected a variable factor after '*'"
-            variable = self.peek()
-            if not variable or variable not in "xy":
-                if variable.isalpha():
-                    self.fail(f"unknown variable {variable!r} (only x and y are allowed)")
-                self.fail(missing)
-            self.pos += 1
-            exponent = 1
-            if self.peek() == "^":
-                self.pos += 1
-                start = self.pos
-                if not self.digits():
-                    self.fail("exponent must be an unsigned integer")
-                exponent = int(self.literal(start))
-            exponents["xy".index(variable)] += exponent
-            missing = None
-
-    def digits(self) -> str:
-        start = self.pos
-        while self.peek().isdecimal():
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def coefficient(self) -> Fraction:
-        """Find the literal's extent, with positioned errors; parse_rational reads it."""
-        start = self.pos
-        integer_digits = self.digits()
-        if self.peek() == ".":
-            self.pos += 1
-            if not self.digits() and not integer_digits:
-                self.fail("expected digits in decimal")
-        elif self.peek() == "/":
-            self.pos += 1
-            denominator = self.digits()
-            if not denominator:
-                self.fail("expected a denominator")
-            if not denominator.strip("0"):
-                self.fail("zero denominator")
-        return self.literal(start)
-
-    def literal(self, start: int) -> Fraction:
-        try:
-            return parse_rational(self.text[start : self.pos])
-        except RationalParseError as exc:
-            raise PolyParseError(str(exc), start) from None
+def _literal(text: str, start: int, end: int) -> Fraction:
+    try:
+        return parse_rational(text[start:end])
+    except RationalParseError as exc:
+        raise PolyParseError(str(exc), start) from None
 
 
 def parse_poly(text: str) -> BivariatePoly:
     """Parse expression text into canonical sparse form (like terms merged)."""
-    return _PolyParser(text).parse()
+    negate = text.lstrip().startswith("-")
+    pos = text.find("-") + 1 if negate else 0
+    terms: list[tuple[ExponentPair, Fraction]] = []
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        coef = _COEF.match(text, pos)
+        digits, decimals, denominator = coef.groups()
+        # missing: the error if the next factor is absent; None after a coef.
+        if digits or decimals is not None:
+            if decimals == digits == "":
+                raise PolyParseError("expected digits in decimal", coef.end())
+            if denominator is not None and not denominator.strip("0"):
+                message = "zero denominator" if denominator else "expected a denominator"
+                raise PolyParseError(message, coef.end())
+            coefficient, missing = _literal(text, pos, coef.end()), None
+            pos = coef.end()
+        else:
+            coefficient, missing = Fraction(1), "expected a term"
+        exponents = [0, 0]
+        while True:
+            if missing:
+                factor = _FACTOR.match(text, pos)
+                if not factor:
+                    if text[pos : pos + 1].isalpha():
+                        missing = f"unknown variable {text[pos]!r} (only x and y are allowed)"
+                    raise PolyParseError(missing, pos)
+                variable, power = factor.groups()
+                pos = factor.end()
+                if power == "":
+                    raise PolyParseError("exponent must be an unsigned integer", pos)
+                exponent = 1 if power is None else int(_literal(text, factor.start(2), pos))
+                exponents["xy".index(variable)] += exponent
+            pos = _SPACE.match(text, pos).end()
+            if not text.startswith("*", pos):
+                break
+            pos = _SPACE.match(text, pos + 1).end()
+            missing = "expected a variable factor after '*'"
+        terms.append(((exponents[0], exponents[1]), -coefficient if negate else coefficient))
+        if pos == len(text):
+            return BivariatePoly(terms)
+        if text[pos] not in "+-":
+            raise PolyParseError("expected '+' or '-'", pos)
+        negate = text[pos] == "-"
+        pos += 1
 
 
 def classify_monomial_composition(f: BivariatePoly) -> MonomialDecomposition | None:

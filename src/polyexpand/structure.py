@@ -29,22 +29,25 @@ MAX_BOUND_DIGITS = 200_000
 def _integer_rank(matrix: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination.
 
-    Each row below the pivot row p_row becomes (p * row - row[col] * p_row) // prev,
-    where p is the pivot and prev the last pivot before it (1 at first). The division
-    is exact: every entry stays a minor of the input, so Hadamard's bound holds its size.
+    A row with c != 0 in the pivot column becomes (p * row - c * p_row) // last, with p the
+    pivot and last the pivot the row was last divided by (1 at first); other rows wait. The
+    skipped p / prev factors telescope, so the pivot row is brought current as row * prev //
+    last, every division is exact, and each entry stays a minor (Hadamard's bound holds it).
     """
     rows = [list(row) for row in matrix]
-    rank, prev = 0, 1
+    rank, prev, last = 0, 1, [1] * len(rows)
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p_row = rows[rank]
+        last[rank], last[pivot] = last[pivot], last[rank]
+        p_row = [x * prev // last[rank] for x in rows[rank]]
         p = p_row[col]
         for i in range(rank + 1, len(rows)):
-            c = rows[i][col]
-            rows[i] = [(p * x - c * y) // prev for x, y in zip(rows[i], p_row)]
+            if c := rows[i][col]:
+                rows[i] = [(p * x - c * y) // last[i] for x, y in zip(rows[i], p_row)]
+                last[i] = p
         prev = p
         rank += 1
     return rank

@@ -132,6 +132,20 @@ def test_parse_errors_carry_positions(text, position, message):
     assert str(excinfo.value) == f"{message} at position {position}"
 
 
+PARSE_ALPHABET = [*"xyzaX_(0123456789./*^+- \t", "\u00b2", "\u0663", "\x1c", "\u00a0"]
+
+
+@given(st.lists(st.sampled_from([*PARSE_ALPHABET, "00", "x^", "1/", "*y"]), max_size=12))
+def test_any_text_parses_to_a_round_trip_or_fails_with_a_position(chunks):
+    text = "".join(chunks)
+    try:
+        f = parse_poly(text)
+    except PolyParseError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert parse_poly(str(f)) == f
+
+
 def test_str_is_canonical():
     assert str(parse_poly("y + x*y + 2")) == "2 + y + x*y"
     assert str(parse_poly("-3/4")) == "-3/4"

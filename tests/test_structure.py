@@ -1,11 +1,17 @@
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyexpand
 import reference
 from genutil import random_fraction, random_ggp, random_set
 from polyexpand import (
@@ -170,9 +176,13 @@ def test_integer_rank_matches_gauss_oracle():
 @st.composite
 def integer_matrices(draw):
     """Square, tall and wide matrices up to 12 x 12 with entries of both signs,
-    zeroed rows and columns, and rows planted as integer combinations of others."""
+    dense or mostly zero, zeroed rows and columns, and rows planted as integer
+    combinations of others. In a mostly-zero matrix, rows skip pivots before
+    the elimination updates them."""
     nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
-    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    dense = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    sparse = st.integers(0, 3).flatmap(lambda k: st.just(0) if k else dense)
+    entry = draw(st.sampled_from([dense, sparse]))
     rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     if nrows:
         index = st.integers(0, nrows - 1)
@@ -210,6 +220,25 @@ def test_integer_rank_of_a_dense_60_by_60_matrix_plus_a_dependent_row():
     assert _integer_rank(matrix[::-1]) == 60
     # Without row 0, the planted row adds nothing to rows 1..59.
     assert _integer_rank(matrix[1:]) == 59
+
+
+def test_integer_rank_of_a_600_by_600_diagonal_in_two_cpu_seconds():
+    # A row with a zero in the pivot column is not touched, so a diagonal costs
+    # n^2 entry steps, not n^3. The child gets 2 s of CPU; scaling every lower
+    # row at every pivot takes several times that, and the child is killed.
+    code = (
+        "from polyexpand.structure import _integer_rank\n"
+        "print(_integer_rank([[-(i == j) for j in range(600)] for i in range(600)]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(polyexpand.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (2, 2)),
+        timeout=30,
+    )
+    assert result.stdout == "600\n", result.stderr
 
 
 def test_rank_budget_is_charged_before_elimination(monkeypatch):
