@@ -46,8 +46,8 @@ def _integer_rank(matrix: Sequence[Sequence[int]]) -> int:
         p = p_row[col]
         for i in range(rank + 1, len(rows)):
             if c := rows[i][col]:
-                rows[i] = [(p * x - c * y) // last[i] for x, y in zip(rows[i], p_row)]
-                last[i] = p
+                q, last[i] = last[i], p
+                rows[i] = [(p * x - c * y) // q for x, y in zip(rows[i], p_row)]
         prev = p
         rank += 1
     return rank
