@@ -11,6 +11,8 @@ solutions of f(x, y) = v, for every image value v, into clean and dirty
 ones by whether a proper subsum of f's terms vanishes there.
 """
 
+import types
+
 from .lab import (
     AuditReport,
     DistinctnessError,
@@ -68,53 +70,8 @@ from .structure import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "BivariatePoly",
-    "BoundValue",
-    "CapExceeded",
-    "DEFAULT_MAX_PAIRS",
-    "DistinctnessError",
-    "EnergyCheck",
-    "ExceptionalPolynomialError",
-    "ExpansionReport",
-    "FileFamily",
-    "GGP",
-    "GGPFamily",
-    "GeometricFamily",
-    "MonomialDecomposition",
-    "MultiplicityHistogram",
-    "ParallelVectorsError",
-    "PolyParseError",
-    "RationalParseError",
-    "RationalSet",
-    "SweepRow",
-    "UnivariatePoly",
-    "amoroso_viada_bound",
-    "audit_injectivity",
-    "audit_vanishing_subsums",
-    "cauchy_schwarz_check",
-    "classify_monomial_composition",
-    "distinctness_check",
-    "doubling_ratio",
-    "energy",
-    "expansion_sweep",
-    "format_monomial",
-    "format_rational",
-    "ggp_enumerate",
-    "ggp_power",
-    "image_set",
-    "make_set",
-    "multiplicative_rank",
-    "multiplicity_histogram",
-    "non_parallel_witnesses",
-    "parse_family",
-    "parse_ggp_spec",
-    "parse_poly",
-    "parse_rational",
-    "productset",
-    "productset_size",
-    "read_set_file",
-    "solve_exponent_system",
-    "value_multiplicities",
-]
+# The public names bound above, without the submodules the imports load.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

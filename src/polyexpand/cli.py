@@ -24,7 +24,7 @@ from .lab import (
     expansion_sweep,
     parse_family,
 )
-from .polynomials import format_monomial, parse_poly
+from .polynomials import BivariatePoly, format_monomial, parse_poly
 from .polynomials import classify_monomial_composition, non_parallel_witnesses
 from .rational import format_key, format_rational
 from .sets import (  # noqa: F401 - bench/test_bench.py reads cli.image_set
@@ -91,18 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each cmd_* returns (exit code, JSON payload, text lines); main prints one.
+# Each cmd_* takes the arguments and the parsed --poly (None without one) and returns
+# (exit code, JSON payload, text lines); main adds the command and f to the payload.
 Result = tuple[int, dict, list[str]]
 
 
-def cmd_classify(args: argparse.Namespace) -> Result:
-    f = parse_poly(args.poly)
-    witnesses = non_parallel_witnesses(f)
-    if witnesses is None:
-        decomposition = classify_monomial_composition(f)
+def cmd_classify(args: argparse.Namespace, f: BivariatePoly) -> Result:
+    decomposition = classify_monomial_composition(f)
+    if decomposition is not None:
         payload = {
-            "command": "classify",
-            "polynomial": str(f),
             "classification": "exceptional",
             "g": str(decomposition.g),
             "monomial": format_monomial(decomposition.monomial),
@@ -116,9 +113,8 @@ def cmd_classify(args: argparse.Namespace) -> Result:
             f"  trivial = {str(decomposition.trivial).lower()}",
         ]
     else:
+        witnesses = non_parallel_witnesses(f)
         payload = {
-            "command": "classify",
-            "polynomial": str(f),
             "classification": "non-exceptional",
             "witnesses": [list(witnesses[0]), list(witnesses[1])],
         }
@@ -131,29 +127,20 @@ def cmd_classify(args: argparse.Namespace) -> Result:
     return EXIT_OK, payload, lines
 
 
-def cmd_image(args: argparse.Namespace) -> Result:
-    f = parse_poly(args.poly)
+def cmd_image(args: argparse.Namespace, f: BivariatePoly) -> Result:
     a = read_set_file(args.set_path)
     b = read_set_file(args.set2_path) if args.set2_path else a
     scale, keys = image_keys(f, a, b, args.max_pairs)
     values = [format_key(k, scale) for k in keys]
-    payload = {
-        "command": "image",
-        "polynomial": str(f),
-        "size": len(values),
-        "values": values,
-    }
+    payload = {"size": len(values), "values": values}
     lines = [f"size = {len(values)}", f"values = {{{', '.join(values)}}}"]
     return EXIT_OK, payload, lines
 
 
-def cmd_energy(args: argparse.Namespace) -> Result:
-    f = parse_poly(args.poly)
+def cmd_energy(args: argparse.Namespace, f: BivariatePoly) -> Result:
     a = read_set_file(args.set_path)
     check = cauchy_schwarz_check(f, a, max_pairs=args.max_pairs)
     payload = {
-        "command": "energy",
-        "polynomial": str(f),
         "set_size": len(a),
         "energy": check.energy,
         "image_size": check.image_size,
@@ -169,13 +156,12 @@ def cmd_energy(args: argparse.Namespace) -> Result:
     return (EXIT_OK if check.holds else EXIT_INCONSISTENT), payload, lines
 
 
-def cmd_structure(args: argparse.Namespace) -> Result:
+def cmd_structure(args: argparse.Namespace, f: None) -> Result:
     a = read_set_file(args.set_path)
     products = productset_size(a, args.max_pairs)
     rank = multiplicative_rank(a, args.max_pairs)
     doubling = Fraction(products, len(a))
     payload = {
-        "command": "structure",
         "set_size": len(a),
         "productset_size": products,
         "doubling": format_rational(doubling),
@@ -191,8 +177,7 @@ def cmd_structure(args: argparse.Namespace) -> Result:
     return EXIT_OK, payload, lines
 
 
-def cmd_audit(args: argparse.Namespace) -> Result:
-    f = parse_poly(args.poly)
+def cmd_audit(args: argparse.Namespace, f: BivariatePoly) -> Result:
     if args.set_path is None and args.ggp is None:
         raise ValueError("audit needs --set (subsum audit) or --ggp (injectivity audit)")
     if args.ggp is not None and args.t is None:
@@ -201,7 +186,7 @@ def cmd_audit(args: argparse.Namespace) -> Result:
         raise ValueError("--t needs --ggp; it dilates the injectivity audit's box")
     if args.threshold is not None and args.set_path is None:
         raise ValueError("--threshold needs --set; it applies to the subsum audit")
-    payload: dict = {"command": "audit", "polynomial": str(f)}
+    payload: dict = {}
     lines: list[str] = []
     exit_code = EXIT_OK
 
@@ -266,8 +251,7 @@ def cmd_audit(args: argparse.Namespace) -> Result:
 SWEEP_CSV_HEADER = "N,setsize,productset,K,image,ratio"
 
 
-def cmd_sweep(args: argparse.Namespace) -> Result:
-    f = parse_poly(args.poly)
+def cmd_sweep(args: argparse.Namespace, f: BivariatePoly) -> Result:
     family = parse_family(args.family)
     try:
         sizes = [int(chunk) for chunk in args.N.split(",") if chunk.strip()]
@@ -281,8 +265,6 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
         max_pairs=args.max_pairs,
     )
     payload = {
-        "command": "sweep",
-        "polynomial": report.polynomial,
         "family": report.family,
         "growth_exponent": report.growth_exponent,
         "rows": [
@@ -318,12 +300,11 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     return EXIT_OK, payload, lines
 
 
-def cmd_bound(args: argparse.Namespace) -> Result:
+def cmd_bound(args: argparse.Namespace, f: None) -> Result:
     bound = amoroso_viada_bound(args.n, args.r)
     # Decimal prints past the int-to-str digit limit, which stays in force for parsing.
     value = str(Decimal(bound.value))
     payload = {
-        "command": "bound",
         "n": bound.n,
         "r": bound.r,
         "value": value,
@@ -355,8 +336,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--max-pairs must be positive")
         if args.format == "csv" and args.command != "sweep":
             raise ValueError("csv output is only available for sweep")
+        f = parse_poly(args.poly) if "poly" in args else None
         # Looked up at each call, so a rebound cmd_* is the one that runs.
-        code, payload, lines = globals()[f"cmd_{args.command}"](args)
+        code, payload, lines = globals()[f"cmd_{args.command}"](args, f)
+        payload["command"] = args.command
+        if f is not None:
+            payload["polynomial"] = str(f)
         print(json.dumps(payload, sort_keys=True) if args.format == "json" else "\n".join(lines))
         return code
     except CapExceeded as exc:

@@ -6,9 +6,10 @@ measures how few independent generators suffice multiplicatively. This
 module computes that rank by fraction-free (Bareiss) elimination, enumerates
 geometric-progression boxes g1^[H1] * ... * gr^[Hr] and their dilates as int
 keys over one scale (building no Fraction, and holding each box to the
-element cap of the pair budget), solves the 2x2 exponent systems
-that make monomial values determine their arguments, and evaluates the
-explicit unit-equation bound of Amoroso and Viada.
+element cap of the pair budget), and evaluates the explicit unit-equation
+bound of Amoroso and Viada. Its solver of the 2x2 exponent systems that
+make monomial values determine their arguments is kept as the tests'
+reference; the injectivity audit no longer calls it.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _strip(m: int, b: int) -> tuple[int, int]:
     return e, m
 
 
-def _coprime_base(integers: Iterable[int]) -> list[int]:
+def _coprime_base(integers: Iterable[int], size: int, max_pairs: int) -> list[int]:
     """Pairwise-coprime integers above 1 over which every given integer factors.
 
     Each integer m is reduced against the base in turn: every base element b
@@ -80,6 +81,11 @@ def _coprime_base(integers: Iterable[int]) -> list[int]:
     b leaves the base, and its two parts gcd and b // gcd go back on the work
     list together with m. Whatever is left of m above 1 is coprime to the
     whole base and joins it.
+
+    Eliminating size rows over n base integers costs size * n * min(size, n) entry
+    updates, charged to max_pairs each time the base grows. The pairwise-coprime
+    elements of an earlier base factor over distinct final ones, so the final charge
+    is the largest and refuses whatever an earlier one refuses.
     """
     base: list[int] = []
     work = [m for m in integers if m > 1]
@@ -95,6 +101,9 @@ def _coprime_base(integers: Iterable[int]) -> list[int]:
         else:
             if m > 1:
                 base.append(m)
+                n = len(base)
+                check_budget(size * n * min(size, n), max_pairs, "multiplicative rank",
+                             "entry updates")
     return base
 
 
@@ -111,9 +120,7 @@ def multiplicative_rank(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> i
     # |k|/scale in lowest terms is n/d. Reducing first keeps the bits of
     # scale/d out of the ints the base is refined from.
     reduced = [(abs(k) // g, a.scale // g) for k in a.keys for g in [math.gcd(k, a.scale)]]
-    base = _coprime_base(dict.fromkeys(m for pair in reduced for m in pair))
-    updates = len(a) * len(base) * min(len(a), len(base))
-    check_budget(updates, max_pairs, "multiplicative rank", "entry updates")
+    base = _coprime_base(dict.fromkeys(m for pair in reduced for m in pair), len(a), max_pairs)
     # Pairwise-coprime integers above 1 are multiplicatively independent, so
     # the rank over this base is the rank over the primes.
     rows = [[_strip(n, b)[0] - _strip(d, b)[0] for b in base] for n, d in reduced]

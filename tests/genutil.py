@@ -1,10 +1,16 @@
-"""Seeded random generators and fixed inputs shared by the test modules."""
+"""Seeded random generators, fixed inputs and a CPU-limited child for the test modules."""
 
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import polyexpand
 from polyexpand import (
     GGP,
     BivariatePoly,
@@ -104,3 +110,15 @@ def random_ggp(rng: random.Random, max_rank: int = 3, max_dim: int = 3) -> GGP:
 def all_monomials(degree: int) -> str:
     """The sum of every monomial x^i*y^j with i + j <= degree, as text."""
     return " + ".join(f"x^{i}*y^{j}" for i in range(degree + 1) for j in range(degree + 1 - i))
+
+
+def run_python_with_two_cpu_seconds(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run python on argv, with this package importable, in a child killed after 2 s of CPU."""
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(polyexpand.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (2, 2)),
+        timeout=30,
+    )

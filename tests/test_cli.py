@@ -1,8 +1,6 @@
 import json
 import math
-import os
 import random
-import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import polyexpand
-from genutil import all_monomials
+from genutil import all_monomials, run_python_with_two_cpu_seconds
 from polyexpand import structure
 from polyexpand.cli import SWEEP_CSV_HEADER, main
 
@@ -329,27 +327,13 @@ def test_bound_large_value_prints(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-def _limit_cpu_to_two_seconds():
-    resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
-
-
-def run_cli_with_two_cpu_seconds(argv):
-    """Run the CLI in a child that is killed after 2 s of CPU."""
-    return subprocess.run(
-        [sys.executable, "-m", "polyexpand", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(polyexpand.__file__).parents[1])},
-        preexec_fn=_limit_cpu_to_two_seconds,
-        timeout=30,
-    )
-
-
 def test_bound_above_digit_cap_exit_3():
     # 160^77440000 has about 1.7e8 digits. The cap must refuse it from log10
     # alone; the child gets 2 s of CPU, far too little to build the integer,
     # so a missing cap kills the child instead of building it.
-    result = run_cli_with_two_cpu_seconds(["bound", "--n", "20", "--r", "5"])
+    result = run_python_with_two_cpu_seconds(
+        ["-m", "polyexpand", "bound", "--n", "20", "--r", "5"]
+    )
     assert result.returncode == 3
     assert result.stdout == ""
     assert "digit budget exceeded" in result.stderr
@@ -382,7 +366,7 @@ def test_bound_past_float_range_exit_3(n, r, capsys):
 def test_dilated_box_above_element_cap_exit_3(argv):
     # The box dilated by 900 has 81M elements, which the child's 2 s of CPU
     # cannot build; the default --max-pairs holds a box to isqrt(10^8).
-    result = run_cli_with_two_cpu_seconds(argv)
+    result = run_python_with_two_cpu_seconds(["-m", "polyexpand", *argv])
     assert result.returncode == 3
     assert result.stdout == ""
     assert result.stderr == (
@@ -394,7 +378,9 @@ def test_dilated_box_above_element_cap_exit_3(argv):
 def test_audit_above_support_cap_exit_3(set_file):
     # 45 terms would cost about 2^22 subsum entries per pair, far more than
     # the child's 2 s of CPU, so only a refusal before the walk exits 3.
-    result = run_cli_with_two_cpu_seconds(["audit", "--poly", all_monomials(8), "--set", set_file])
+    result = run_python_with_two_cpu_seconds(
+        ["-m", "polyexpand", "audit", "--poly", all_monomials(8), "--set", set_file]
+    )
     assert result.returncode == 3
     assert result.stdout == ""
     assert "term budget exceeded: subsum audit needs 45 terms" in result.stderr
@@ -473,7 +459,7 @@ def test_csv_rejected_before_any_work(capsys, set_file):
 
 def test_cached_parser_dispatches_to_rebound_commands(capsys, set_file, monkeypatch):
     run_cli(["structure", "--set", set_file], capsys)
-    monkeypatch.setattr(polyexpand.cli, "cmd_structure", lambda args: (0, {}, ["patched"]))
+    monkeypatch.setattr(polyexpand.cli, "cmd_structure", lambda args, f: (0, {}, ["patched"]))
     assert run_cli(["structure", "--set", set_file], capsys) == (0, "patched\n", "")
 
 
@@ -489,7 +475,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys, set_file, tmp_path):
 
 def test_type_error_is_not_a_usage_error(set_file, monkeypatch):
     # No CLI input reaches a TypeError, so one is a defect and must propagate.
-    def broken(args):
+    def broken(args, f):
         raise TypeError("defect")
 
     monkeypatch.setattr(polyexpand.cli, "cmd_structure", broken)

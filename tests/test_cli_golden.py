@@ -26,9 +26,11 @@ cases, eight terms in c/-c pairs on `{S}`, were recorded while the audit
 still checked each pair with its own call. The `*-poly-bad-exponent`,
 `*-poly-bad-factor` and `*-poly-zero-denominator` cases, which exit 2 on
 polynomial text, were recorded while a hand-written character scanner
-still parsed it. A case with a `patch` wraps one library call seen by the
-CLI so that it reports a falsified bound, which exercises the exit-4
-output that correct code never reaches.
+still parsed it. The `classify-zero-poly` case pins the library's
+message for the zero polynomial, which `classify` gives since it stopped
+reporting the zero polynomial's empty support. A case with a `patch` wraps
+one library call seen by the CLI so that it reports a falsified bound,
+which exercises the exit-4 output that correct code never reaches.
 
 New cases are appended, never rewritten, by the recorder in this file:
 

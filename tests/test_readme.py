@@ -1,7 +1,11 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, on the package's public names."""
 
+import ast
 import re
+import types
 from pathlib import Path
+
+import polyexpand
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +26,20 @@ def test_readme_quick_start_runs(capsys):
         "MonomialDecomposition(g=UnivariatePoly('t + t^2'), monomial=(1, 1), trivial=False)"
     )
     assert len(lines) == 6
+
+
+def test_public_names_are_the_imported_non_modules():
+    star: dict = {}
+    exec("from polyexpand import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(polyexpand.__all__)
+    for name in polyexpand.__all__:
+        value = getattr(polyexpand, name)
+        assert not isinstance(value, types.ModuleType) and value is not types.ModuleType, name
+    quick_start = {
+        alias.name
+        for node in ast.walk(ast.parse(quick_start_code()))
+        if isinstance(node, ast.ImportFrom) and node.module == "polyexpand"
+        for alias in node.names
+    }
+    assert quick_start and quick_start <= set(polyexpand.__all__)

@@ -1,20 +1,15 @@
 import math
-import os
 import random
-import resource
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polyexpand
 import reference
-from genutil import random_fraction, random_ggp, random_set
+from genutil import random_fraction, random_ggp, random_set, run_python_with_two_cpu_seconds
 from polyexpand import (
+    DEFAULT_MAX_PAIRS,
     GGP,
     CapExceeded,
     ParallelVectorsError,
@@ -134,7 +129,7 @@ def test_coprime_base_is_pairwise_coprime_and_rebuilds_inputs():
             for prime in rng.sample(PRIME_POOL, rng.randint(0, 4)):
                 n *= prime ** rng.randint(1, 5)
             integers.append(n)
-        base = _coprime_base(integers)
+        base = _coprime_base(integers, len(integers), DEFAULT_MAX_PAIRS)
         assert all(b > 1 for b in base)
         for i, b in enumerate(base):
             for c in base[i + 1:]:
@@ -230,14 +225,7 @@ def test_integer_rank_of_a_600_by_600_diagonal_in_two_cpu_seconds():
         "from polyexpand.structure import _integer_rank\n"
         "print(_integer_rank([[-(i == j) for j in range(600)] for i in range(600)]))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(polyexpand.__file__).parents[1])},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (2, 2)),
-        timeout=30,
-    )
+    result = run_python_with_two_cpu_seconds(["-c", code])
     assert result.stdout == "600\n", result.stderr
 
 
@@ -254,6 +242,29 @@ def test_rank_budget_is_charged_before_elimination(monkeypatch):
         "entry update budget exceeded: multiplicative rank needs 64 entry updates, "
         "above the cap of 63; raise it with --max-pairs"
     )
+
+
+def test_rank_budget_is_charged_as_the_base_grows():
+    # The first 4,000 primes refine to a base of 4,000 integers, each stripped
+    # against all before it; their reciprocals give the same base, but building
+    # that set alone takes more than the child's 2 s of CPU. Refining the whole
+    # base before charging takes several times 2 s, while the charge 4000 * n * n
+    # for a base of n integers passes 10^8 at n = 159.
+    primes = [p for p in range(2, 37814) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 4000
+    code = (
+        "import sys\n"
+        "from polyexpand import CapExceeded, make_set, multiplicative_rank\n"
+        "try:\n"
+        "    multiplicative_rank(make_set(map(int, sys.argv[1:])))\n"
+        "except CapExceeded as exc:\n"
+        "    print(exc)\n"
+    )
+    result = run_python_with_two_cpu_seconds(["-c", code, *map(str, primes)])
+    assert result.stdout == (
+        "entry update budget exceeded: multiplicative rank needs 101124000 entry updates, "
+        "above the cap of 100000000; raise it with --max-pairs\n"
+    ), result.stderr
 
 
 def test_ggp_validation():
