@@ -28,7 +28,10 @@ still checked each pair with its own call. The `*-poly-bad-exponent`,
 polynomial text, were recorded while a hand-written character scanner
 still parsed it. The `classify-zero-poly` case pins the library's
 message for the zero polynomial, which `classify` gives since it stopped
-reporting the zero polynomial's empty support. A case with a `patch` wraps
+reporting the zero polynomial's empty support. `structure-capped-text`,
+`energy-capped-json` and `sweep-files-json` were recorded while `|AA|` was
+still counted apart from the ladder walk; the samples of `sweep-files-json`
+do not nest, so it pins the walk's per-set fallback. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 
