@@ -53,33 +53,30 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text", "csv"), default="text")
     common.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
+    poly = argparse.ArgumentParser(add_help=False, parents=[common])
+    poly.add_argument("--poly", required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="decide the g(x^a y^b) shape")
-    p.add_argument("--poly", required=True)
+    sub.add_parser("classify", parents=[poly], help="decide the g(x^a y^b) shape")
 
-    p = sub.add_parser("image", parents=[common], help="distinct values f(a, b)")
-    p.add_argument("--poly", required=True)
+    p = sub.add_parser("image", parents=[poly], help="distinct values f(a, b)")
     p.add_argument("--set", required=True, dest="set_path")
     p.add_argument("--set2", dest="set2_path", default=None)
 
-    p = sub.add_parser("energy", parents=[common], help="pair-coincidence energy")
-    p.add_argument("--poly", required=True)
+    p = sub.add_parser("energy", parents=[poly], help="pair-coincidence energy")
     p.add_argument("--set", required=True, dest="set_path")
 
     p = sub.add_parser("structure", parents=[common], help="doubling and lattice rank")
     p.add_argument("--set", required=True, dest="set_path")
 
-    p = sub.add_parser("audit", parents=[common], help="bound audits by brute force")
-    p.add_argument("--poly", required=True)
+    p = sub.add_parser("audit", parents=[poly], help="bound audits by brute force")
     p.add_argument("--set", dest="set_path", default=None)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--ggp", default=None)
     p.add_argument("--t", type=int, default=None)
 
-    p = sub.add_parser("sweep", parents=[common], help="image growth over a family")
-    p.add_argument("--poly", required=True)
+    p = sub.add_parser("sweep", parents=[poly], help="image growth over a family")
     p.add_argument("--family", required=True)
     p.add_argument("--N", required=True, help="comma-separated sample sizes")
     p.add_argument("--allow-exceptional", action="store_true")
@@ -140,17 +137,12 @@ def cmd_image(args: argparse.Namespace, f: BivariatePoly) -> Result:
 def cmd_energy(args: argparse.Namespace, f: BivariatePoly) -> Result:
     a = read_set_file(args.set_path)
     check = cauchy_schwarz_check(f, a, max_pairs=args.max_pairs)
-    payload = {
-        "set_size": len(a),
-        "energy": check.energy,
-        "image_size": check.image_size,
-        "lower_bound": format_rational(check.lower_bound),
-        "holds": check.holds,
-    }
+    lower_bound = format_rational(check.lower_bound)
+    payload = {**check._asdict(), "set_size": len(a), "lower_bound": lower_bound}
     lines = [
         f"E = {check.energy}",
         f"image = {check.image_size}",
-        f"lower bound |A|^4/|f(A,A)| = {format_rational(check.lower_bound)}",
+        f"lower bound |A|^4/|f(A,A)| = {lower_bound}",
         f"holds = {str(check.holds).lower()}",
     ]
     return (EXIT_OK if check.holds else EXIT_INCONSISTENT), payload, lines
@@ -201,20 +193,11 @@ def cmd_audit(args: argparse.Namespace, f: BivariatePoly) -> Result:
             {"value": format_key(k, report.scale), "clean": c, "dirty": d}
             for k, c, d in report.table
         ] if args.format == "json" or not report.consistent else []
-        payload["subsum_audit"] = {
-            "degree": report.degree,
-            "support_size": report.support_size,
-            "pairs": report.pairs,
-            "dirty_bound": report.dirty_bound,
-            "bad_values": [format_key(k, report.scale) for k in report.bad_values],
-            "max_bad_values": report.max_bad_values,
-            "consistent": report.consistent,
-            "threshold": report.threshold,
-            "high_multiplicity": high,
-            "theoretical_threshold_log10": report.theoretical_threshold_log10,
-            "zero_value_full_sum_solutions": report.zero_value_full_sum_solutions,
-            "table": table,
+        bad = [format_key(k, report.scale) for k in report.bad_values]
+        payload["subsum_audit"] = summary = {
+            **report._asdict(), "bad_values": bad, "high_multiplicity": high, "table": table
         }
+        del summary["scale"]  # the values above are printed from their keys
         lines += [
             f"subsum audit: degree = {report.degree}, support = {report.support_size}, "
             f"pairs = {report.pairs}",
@@ -248,7 +231,9 @@ def cmd_audit(args: argparse.Namespace, f: BivariatePoly) -> Result:
     return exit_code, payload, lines
 
 
-SWEEP_CSV_HEADER = "N,setsize,productset,K,image,ratio"
+# The CSV columns are these JSON row fields; the header drops their "_float".
+SWEEP_CSV_KEYS = ("N", "setsize", "productset", "K_float", "image", "ratio_float")
+SWEEP_CSV_HEADER = ",".join(key.removesuffix("_float") for key in SWEEP_CSV_KEYS)
 
 
 def cmd_sweep(args: argparse.Namespace, f: BivariatePoly) -> Result:
@@ -283,9 +268,7 @@ def cmd_sweep(args: argparse.Namespace, f: BivariatePoly) -> Result:
     }
     if args.format == "csv":
         lines = [SWEEP_CSV_HEADER] + [
-            f"{row.N},{row.set_size},{row.productset_size},"
-            f"{float(row.doubling)!r},{row.image_size},{float(row.ratio)!r}"
-            for row in report.rows
+            ",".join(str(row[key]) for key in SWEEP_CSV_KEYS) for row in payload["rows"]
         ]
         return EXIT_OK, payload, lines
     lines = [f"family = {report.family}", f"f = {report.polynomial}"]
@@ -304,12 +287,7 @@ def cmd_bound(args: argparse.Namespace, f: None) -> Result:
     bound = amoroso_viada_bound(args.n, args.r)
     # Decimal prints past the int-to-str digit limit, which stays in force for parsing.
     value = str(Decimal(bound.value))
-    payload = {
-        "n": bound.n,
-        "r": bound.r,
-        "value": value,
-        "log10": bound.log10,
-    }
+    payload = {**bound._asdict(), "value": value}
     lines = [
         f"n = {bound.n}",
         f"r = {bound.r}",

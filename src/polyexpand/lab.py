@@ -35,6 +35,7 @@ from .polynomials import (
 from .rational import format_rational, parse_rational
 from .sets import (
     DEFAULT_MAX_PAIRS,
+    PRODUCT,
     RationalSet,
     _keys,
     _pair_rows,
@@ -333,7 +334,8 @@ def expansion_sweep(
 
     Every size is sampled first, in the given order, so size and budget errors
     come as before; rows keep that order. A ladder whose samples nest, as
-    geometric and GGP samples do, is walked once (``sets.ladder_sizes``).
+    geometric and GGP samples do, is walked once for f and once for the
+    product set (``sets.ladder_sizes``).
     Polynomials of the g(x^a y^b) shape are refused by default because they
     are exactly the shapes whose images stay small; pass allow_exceptional
     (CLI --allow-exceptional) to measure them anyway.
@@ -353,21 +355,21 @@ def expansion_sweep(
             raise ValueError(f"sample sizes must be positive, got {n}")
         samples[n] = family.sample(n, max_pairs)
     ladder = sorted(samples)
-    counts = dict(zip(ladder, ladder_sizes(f, [samples[n] for n in ladder], max_pairs)))
-    rows = []
-    for n in sizes:
-        a = samples[n]
-        images, products = counts[n]
-        rows.append(
-            SweepRow(
-                N=n,
-                set_size=len(a),
-                productset_size=products,
-                doubling=Fraction(products, len(a)),
-                image_size=images,
-                ratio=Fraction(images, len(a) ** 2),
-            )
+    images, products = (
+        dict(zip(ladder, ladder_sizes(g, [samples[n] for n in ladder], max_pairs)))
+        for g in (f, PRODUCT)
+    )
+    rows = [
+        SweepRow(
+            N=n,
+            set_size=len(samples[n]),
+            productset_size=products[n],
+            doubling=Fraction(products[n], len(samples[n])),
+            image_size=images[n],
+            ratio=Fraction(images[n], len(samples[n]) ** 2),
         )
+        for n in sizes
+    ]
     exponent = _log_log_slope([(row.set_size, row.image_size) for row in rows])
     return ExpansionReport(
         family=family.describe(),

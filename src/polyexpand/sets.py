@@ -6,11 +6,11 @@ denominators: its values are k/scale, and Fractions are built only on demand
 histograms, polynomial energies and sweep ladders all walk the pair space
 through one integer kernel: ``_clear`` and ``_rows`` read keys over one scale
 and turn every value f(x, y) into an int key scale*f(x, y) with a fixed scale
-> 0. ``_pair_rows`` walks |A| x |B|; ``ladder_sizes`` walks a ladder of nested
-sets once, in shells of new pairs. So dedup, counts, energies, sort order and
-vanishing subsums are exact on plain ints, and ``image_keys`` returns sorted
-keys that the CLI prints without a Fraction. Energies cost O(|A|^2) pair work
-rather than O(|A|^4) quadruple work, and nothing here touches floating point.
+> 0. ``ladder_sizes`` counts |AA| and |f(A,A)| alike, walking nested sets
+once, in shells of new pairs; ``_key_counts`` keeps multiplicities. Dedup,
+counts, energies, sort order and vanishing subsums are exact on plain ints,
+and ``image_keys`` returns sorted keys that the CLI prints without a Fraction.
+Energies cost O(|A|^2) pair work, not O(|A|^4); nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -158,15 +158,13 @@ def _rows(
     """Per X in xs, its term columns C*X^i*Y^j over ys, which sum to the keys.
 
     With merge, the terms that share a power of Y share one column."""
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for c, i, j in cleared:  # grouped once per call, not per x
+        groups.setdefault((j,) if merge else (i, j), []).append((c, i))
     y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
-    if merge:  # grouped once per call, not per x
-        groups = [(j, [(c, i) for c, i, jk in cleared if jk == j]) for j in y_pows]
-        for big_x in xs:
-            yield [list(map(sum([c * big_x**i for c, i in terms]).__mul__, y_pows[j]))
-                   for j, terms in groups]
-    else:
-        for big_x in xs:
-            yield [list(map((c * big_x**i).__mul__, y_pows[j])) for c, i, j in cleared]
+    for big_x in xs:
+        yield [list(map(sum([c * big_x**i for c, i in terms]).__mul__, y_pows[key[-1]]))
+               for key, terms in groups.items()]
 
 
 def _pair_rows(
@@ -203,33 +201,32 @@ def _key_counts(
 
 
 def ladder_sizes(
-    f: BivariatePoly, ladder: list[RationalSet], max_pairs: int = DEFAULT_MAX_PAIRS
-) -> list[tuple[int, int]]:
-    """(|f(A,A)|, |AA|) for each set A of a ladder, from one walk when the sets nest.
+    f: BivariatePoly, ladder: list[RationalSet], max_pairs: int = DEFAULT_MAX_PAIRS,
+    what: str = "pair histogram",
+) -> list[int]:
+    """|f(A,A)| for each set A of a ladder, from one walk when the sets nest.
 
     The last set's pairs are then walked over its scale d in shells: shell n is
     the pairs of set n that are not pairs of set n-1, as rows of its new keys X,
-    f(X, Y) over set n and f(Y, X) over set n-1. The key maps are injective, so
-    a set's counts are the key set sizes after its shell. A ladder that does
+    f(X, Y) over set n and f(Y, X) over set n-1. The key map is injective, so
+    a set's count is the key set's size after its shell. A ladder that does
     not nest is walked one set at a time.
     """
     d = ladder[-1].scale
     held = [{k * (d // a.scale) for k in a.keys} for a in ladder]
     if any(d % a.scale for a in ladder) or not all(map(set.issubset, held, held[1:])):
-        return [ladder_sizes(f, [a], max_pairs)[0] for a in ladder]
-    check_budget(len(held[-1]) ** 2, max_pairs, "pair histogram")
+        return [ladder_sizes(f, [a], max_pairs, what)[0] for a in ladder]
+    check_budget(len(held[-1]) ** 2, max_pairs, what)
+    cleared = _clear(f, d)[1]
+    flip = [(c, j, i) for c, i, j in cleared]
+    seen: set[int] = set()
     sizes = []
-    for g in (f, PRODUCT):
-        cleared = _clear(g, d)[1]
-        flip = [(c, j, i) for c, i, j in cleared]
-        seen: set[int] = set()
-        sizes.append([])
-        for old, keys in zip([set()] + held, held):
-            new = keys - old
-            for columns in chain(_rows(cleared, new, keys, True), _rows(flip, new, old, True)):
-                seen.update(_keys(columns))
-            sizes[-1].append(len(seen))
-    return list(zip(*sizes))
+    for old, keys in zip([set()] + held, held):
+        new = keys - old
+        for columns in chain(_rows(cleared, new, keys, True), _rows(flip, new, old, True)):
+            seen.update(_keys(columns))
+        sizes.append(len(seen))
+    return sizes
 
 
 def productset(
@@ -241,7 +238,7 @@ def productset(
 
 def productset_size(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
     """|AA|, counted on int keys: builds no Fraction and sorts nothing."""
-    return len(_key_counts(PRODUCT, a, a, max_pairs, "product set")[1])
+    return ladder_sizes(PRODUCT, [a], max_pairs, "product set")[0]
 
 
 def doubling_ratio(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> Fraction:
