@@ -36,6 +36,7 @@ from .sets import (  # noqa: F401 - bench/test_bench.py reads cli.image_set
     read_set_file,
 )
 from .structure import amoroso_viada_bound, multiplicative_rank, parse_ggp_spec
+from .structure import require_nonzero_elements
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,6 +151,7 @@ def cmd_energy(args: argparse.Namespace, f: BivariatePoly) -> Result:
 
 def cmd_structure(args: argparse.Namespace, f: None) -> Result:
     a = read_set_file(args.set_path)
+    require_nonzero_elements(a)  # before the product walk, which a larger cap cannot save
     products = productset_size(a, args.max_pairs)
     rank = multiplicative_rank(a, args.max_pairs)
     doubling = Fraction(products, len(a))

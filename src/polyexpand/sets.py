@@ -53,6 +53,14 @@ def check_elements(count: int, max_pairs: int, what: str) -> None:
     check_budget(count, max(1, isqrt(max_pairs)), what, "elements")
 
 
+def _gcd(scale: int, keys: Collection[int]) -> int:
+    """gcd(scale, *keys), folded over the keys only when g = gcd(scale, sum(keys)) != 1.
+
+    Exact: the gcd of scale and the keys divides their sum, so it divides g."""
+    g = gcd(scale, sum(keys))
+    return g if g == 1 else gcd(g, *keys)
+
+
 class RationalSet:
     """A finite set of rationals: the values key/scale of strictly increasing keys.
 
@@ -63,7 +71,7 @@ class RationalSet:
     def __init__(self, scale: int, keys: tuple[int, ...]) -> None:
         if not keys:
             raise ValueError("a set must contain at least one element")
-        if scale < 1 or gcd(scale, *keys) != 1:
+        if scale < 1 or _gcd(scale, keys) != 1:
             raise ValueError("the scale must be the lcm of the denominators")
         if not all(map(lt, keys, keys[1:])):
             raise ValueError("keys must be strictly increasing and distinct")
@@ -73,7 +81,7 @@ class RationalSet:
     def from_keys(cls, scale: int, keys: Iterable[int]) -> RationalSet:
         """The set of the values k/scale for scale > 0: dedups, reduces by the gcd, sorts."""
         distinct = set(keys)
-        g = gcd(scale, *distinct)
+        g = _gcd(scale, distinct)
         return cls(scale // g, tuple(sorted([k // g for k in distinct])))
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -107,6 +107,12 @@ def _coprime_base(integers: Iterable[int], size: int, max_pairs: int) -> list[in
     return base
 
 
+def require_nonzero_elements(a: RationalSet) -> None:
+    """Refuse a set holding 0, which lies in no multiplicative group."""
+    if 0 in a.keys:
+        raise ValueError("0 is not in any multiplicative group; drop it first")
+
+
 def multiplicative_rank(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
     """Rank of the exponent lattice spanned by a's elements (signs ignored).
 
@@ -115,8 +121,7 @@ def multiplicative_rank(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> i
     Over a coprime base of m integers, elimination costs about
     len(a) * m * min(len(a), m) entry updates, charged to max_pairs before it starts.
     """
-    if 0 in a.keys:
-        raise ValueError("0 is not in any multiplicative group; drop it first")
+    require_nonzero_elements(a)
     # |k|/scale in lowest terms is n/d. Reducing first keeps the bits of
     # scale/d out of the ints the base is refined from.
     reduced = [(abs(k) // g, a.scale // g) for k in a.keys for g in [math.gcd(k, a.scale)]]

@@ -397,6 +397,17 @@ def test_structure_cap_exit_3(capsys, set_file):
     assert code == 0
 
 
+def test_structure_refuses_zero_before_the_product_walk(capsys, tmp_path, monkeypatch):
+    # A larger cap cannot help a set holding 0, so no cap is named and no pair is walked.
+    path = tmp_path / "zero.txt"
+    path.write_text("-1\n0\n2\n", encoding="utf-8")
+    monkeypatch.setattr(polyexpand.cli, "productset_size", lambda *a: pytest.fail("walked"))
+    for cap in ([], ["--max-pairs", "8"]):
+        code, out, err = run_cli(["structure", "--set", str(path), *cap], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: 0 is not in any multiplicative group; drop it first\n"
+
+
 def test_structure_rank_over_its_budget_exit_3(capsys, tmp_path, monkeypatch):
     # 30 elements over the first 30 primes: the product set needs 900 pairs,
     # and the rank charges 30 * 30 * 30 entry updates before it eliminates.

@@ -31,7 +31,9 @@ message for the zero polynomial, which `classify` gives since it stopped
 reporting the zero polynomial's empty support. `structure-capped-text`,
 `energy-capped-json` and `sweep-files-json` were recorded while `|AA|` was
 still counted apart from the ladder walk; the samples of `sweep-files-json`
-do not nest, so it pins the walk's per-set fallback. A case with a `patch` wraps
+do not nest, so it pins the walk's per-set fallback. `structure-zero-capped-text`
+was recorded once `structure` refused a set holding 0 before its product
+walk, instead of asking for a larger `--max-pairs`. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 
@@ -40,7 +42,13 @@ New cases are appended, never rewritten, by the recorder in this file:
     PYTHONPATH=src python tests/test_cli_golden.py --record ID -- ARGV...
 
 It runs the CLI on ARGV, with the same set-file placeholders as the test,
-and appends the result under ID, which must be new.
+and appends the result under ID, which must be new. Every case, patched
+ones included, also replays without pytest, on the standard library alone,
+so any interpreter the package supports can check the bytes:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
+
+It prints the number of cases and exits non-zero with the ids that differ.
 """
 
 import contextlib
@@ -49,8 +57,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
+from unittest import mock
 
 from polyexpand import cli
 
@@ -81,39 +88,67 @@ def write_sets(directory: Path) -> dict[str, str]:
     return paths
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case["id"] for case in CASES])
-def test_cli_bytes(case, tmp_path, monkeypatch, capsys):
-    paths = write_sets(tmp_path)
-    if case["patch"]:
-        attr, falsify = PATCHES[case["patch"]]
-        original = getattr(cli, attr)
-        monkeypatch.setattr(cli, attr, lambda *a, **k: falsify(original(*a, **k)))
-    code = cli.main([arg.format(**paths) for arg in case["argv"]])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+def replay(argv: list[str], patch: str | None, directory: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI on argv, with set files in directory."""
+    paths = write_sets(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if patch:
+            attr, falsify = PATCHES[patch]
+            original = getattr(cli, attr)
+            stack.enter_context(
+                mock.patch.object(cli, attr, lambda *a, **k: falsify(original(*a, **k)))
+            )
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = cli.main([arg.format(**paths) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def pytest_generate_tests(metafunc):
+    """One test per case, named by its id; the module imports no pytest."""
+    metafunc.parametrize("case", CASES, ids=[case["id"] for case in CASES])
+
+
+def test_cli_bytes(case, tmp_path):
+    got = replay(case["argv"], case["patch"], tmp_path)
+    assert got == (case["code"], case["stdout"], case["stderr"])
+
+
+def check() -> list[str]:
+    """Replay every case; return the ids whose output differs from the recorded one."""
+    with tempfile.TemporaryDirectory() as directory:
+        return [
+            case["id"] for case in CASES
+            if replay(case["argv"], case["patch"], Path(directory))
+            != (case["code"], case["stdout"], case["stderr"])
+        ]
 
 
 def record(case_id: str, argv: list[str]) -> None:
     """Run the CLI on argv and append the case to cli_golden.json."""
     if any(case["id"] == case_id for case in CASES):
         raise SystemExit(f"case {case_id!r} exists; golden cases are never rewritten")
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
-        paths = write_sets(Path(directory))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([arg.format(**paths) for arg in argv])
+        code, out, err = replay(argv, None, Path(directory))
     dump = json.dumps
     entry = (
         f' {{"id": {dump(case_id)}, "patch": null, "code": {code},\n'
         f'  "argv": {dump(argv)},\n'
-        f'  "stdout": {dump(out.getvalue())},\n'
-        f'  "stderr": {dump(err.getvalue())}}}'
+        f'  "stdout": {dump(out)},\n'
+        f'  "stderr": {dump(err)}}}'
     )
     text = GOLDEN.read_text(encoding="utf-8")
     GOLDEN.write_text(text.rstrip()[:-1].rstrip() + ",\n" + entry + "\n]\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 5 or sys.argv[1] != "--record" or sys.argv[3] != "--":
-        raise SystemExit("usage: test_cli_golden.py --record ID -- ARGV...")
-    record(sys.argv[2], sys.argv[4:])
+    if sys.argv[1:] == ["--check"]:
+        differ = check()
+        print(f"{len(CASES) - len(differ)} of {len(CASES)} cases match")
+        if differ:
+            raise SystemExit("differ: " + " ".join(differ))
+    elif len(sys.argv) < 5 or sys.argv[1] != "--record" or sys.argv[3] != "--":
+        raise SystemExit("usage: test_cli_golden.py --check | --record ID -- ARGV...")
+    else:
+        record(sys.argv[2], sys.argv[4:])

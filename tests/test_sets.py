@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genutil import random_poly, random_set
+from genutil import random_poly, random_set, run_python_with_two_cpu_seconds
 from polyexpand import (
     CapExceeded,
     RationalParseError,
@@ -20,6 +21,7 @@ from polyexpand import (
     productset,
     read_set_file,
 )
+from polyexpand.sets import _gcd
 from reference import evaluate
 
 
@@ -110,6 +112,31 @@ def test_rational_set_enforces_order():
     for scale, keys in ((2, (2, 4)), (0, (1,)), (-1, (1,))):
         with pytest.raises(ValueError, match="lcm"):
             RationalSet(scale, keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+@example(2, [-1, 1])  # the keys sum to 0, so gcd(2, 0) = 2 and the fold must run
+@example(6, [3, 9])  # the sum 12 shares 6 with the scale, the keys share only 3
+@example(4, [1, 3])  # the sum 4 shares 4 with the scale, the keys share nothing
+def test_gcd_certificate_matches_the_plain_fold(scale, keys):
+    assert _gcd(scale, keys) == math.gcd(scale, *keys)
+
+
+def test_make_set_of_4000_prime_reciprocals_in_two_cpu_seconds():
+    # Their keys over the product of the primes run to 54k bits each. The keys'
+    # sum is coprime to the scale, so no gcd is folded over the keys themselves.
+    primes = [p for p in range(2, 37814) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 4000
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from polyexpand import make_set\n"
+        "a = make_set(Fraction(1, int(p)) for p in sys.argv[1:])\n"
+        "print(len(a), a.keys[-1] == a.scale // 2)\n"
+    )
+    result = run_python_with_two_cpu_seconds(["-c", code, *map(str, primes)])
+    assert result.stdout == "4000 True\n", result.stderr
 
 
 def test_rational_set_is_an_immutable_value():

@@ -246,8 +246,8 @@ def test_rank_budget_is_charged_before_elimination(monkeypatch):
 
 def test_rank_budget_is_charged_as_the_base_grows():
     # The first 4,000 primes refine to a base of 4,000 integers, each stripped
-    # against all before it; their reciprocals give the same base, but building
-    # that set alone takes more than the child's 2 s of CPU. Refining the whole
+    # against all before it; their reciprocals give the same base, and building
+    # that set fits in the child's 2 s of CPU too (test_sets). Refining the whole
     # base before charging takes several times 2 s, while the charge 4000 * n * n
     # for a base of n integers passes 10^8 at n = 159.
     primes = [p for p in range(2, 37814) if all(p % d for d in range(2, math.isqrt(p) + 1))]
