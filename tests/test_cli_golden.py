@@ -33,7 +33,12 @@ reporting the zero polynomial's empty support. `structure-capped-text`,
 still counted apart from the ladder walk; the samples of `sweep-files-json`
 do not nest, so it pins the walk's per-set fallback. `structure-zero-capped-text`
 was recorded once `structure` refused a set holding 0 before its product
-walk, instead of asking for a larger `--max-pairs`. A case with a `patch` wraps
+walk, instead of asking for a larger `--max-pairs`. `sweep-symmetric-csv`
+(`x^2*y + x*y^2`, equal to its own transpose), `sweep-near-symmetric-csv`
+(`x^2*y + 2*x*y^2`: a symmetric support under coefficients that are not) and
+`image-unsorted-set2-text` (two sets of different sizes) were recorded while
+the pair kernel still built one row per element of the first set and walked
+every shell's mirrored pairs for every polynomial. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 
