@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from math import comb
 from pathlib import Path
 from typing import NamedTuple
@@ -164,21 +164,21 @@ def audit_vanishing_subsums(
     check_budget(len(f.support), MAX_SUBSUM_SUPPORT, "subsum audit", "terms", None)
     # Term values and their sums are ints scaled by the same scale > 0, so
     # vanishing subsums, equal values and the value order are all exact.
-    scale, rows = _pair_rows(f, a, a, max_pairs, "subsum audit")
+    scale, streams = _pair_rows(f, a, a, max_pairs, "subsum audit")
     support_size = len(f.support)
     # Each pair's meet in the middle builds up to 2^ceil(m/2) subset sums.
     sums = len(a) ** 2 * 2 ** ((support_size + 1) // 2)
     check_budget(sums, max_pairs, "subsum audit", "subset sums")
-    # Pairs per key, all and dirty; key 0 is the value 0.
+    # Pairs per key, all and dirty, a row per x cut from the streams; key 0 is the value 0.
     totals, dirty = Counter(), Counter()
-    for columns in rows:
-        keys = _keys(columns)
+    for columns in ([list(islice(s, len(a))) for s in streams] for _ in a.keys):
+        keys = list(_keys(columns))
         totals.update(keys)
         dirty.update(compress(keys, zero_proper_subset_flags(columns)))
     degree = f.degree
     dirty_bound = degree * degree * 2**support_size
     tau = dirty_bound if threshold is None else threshold
-    table = tuple((k, n - dirty[k], dirty[k]) for k, n in sorted(totals.items()))
+    table = tuple((k, n - d, d) for k, n in sorted(totals.items()) for d in [dirty.get(k, 0)])
     bad = tuple(k for k, _, d in table if d > dirty_bound)
     k_floor = max(1, productset_size(a, max_pairs) // len(a))
     return AuditReport(
@@ -194,7 +194,7 @@ def audit_vanishing_subsums(
         threshold=tau,
         high_multiplicity=tuple(k for k, c, d in table if c + d > tau),
         theoretical_threshold_log10=bound_log10(comb(degree + 2, 2), k_floor),
-        zero_value_full_sum_solutions=totals[0] - dirty[0],
+        zero_value_full_sum_solutions=totals.get(0, 0) - dirty.get(0, 0),
     )
 
 
@@ -225,8 +225,8 @@ def audit_injectivity(
     # The term columns of x^i y^j + x^i' y^j' are the two monomial values,
     # each times a positive constant: equal int pairs mean equal value pairs.
     monomials = BivariatePoly({(i, j): 1, (i2, j2): 1})
-    _, rows = _pair_rows(monomials, box, box, max_pairs, "injectivity audit")
-    return len({pair for columns in rows for pair in zip(*columns)}) == len(box) ** 2
+    _, columns = _pair_rows(monomials, box, box, max_pairs, "injectivity audit")
+    return len(set(zip(*columns))) == len(box) ** 2
 
 
 def cauchy_schwarz_check(

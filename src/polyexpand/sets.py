@@ -5,11 +5,11 @@ denominators: its values are k/scale, and Fractions are built only on demand
 (``elements``). Product sets, polynomial image sets, multiplicity
 histograms, polynomial energies and sweep ladders all walk the pair space
 through one integer kernel: ``_clear`` and ``_rows`` read keys over one scale
-and turn every value f(x, y) into an int key scale*f(x, y) with a fixed scale
-> 0. ``ladder_sizes`` counts |AA| and |f(A,A)| alike, walking nested sets
-once, in shells of new pairs; ``_key_counts`` keeps multiplicities. Dedup,
-counts, energies, sort order and vanishing subsums are exact on plain ints,
-and ``image_keys`` returns sorted keys that the CLI prints without a Fraction.
+and stream each term column of the int keys scale*f(x, y), scale > 0, through
+C-level iterators. ``ladder_sizes`` counts |AA| and |f(A,A)| alike, walking
+nested sets once, in shells of new pairs (a symmetric f skips mirrored ones);
+``_key_counts`` keeps multiplicities. Dedup, counts, energies, sort order and
+vanishing subsums are exact on ints; ``image_keys`` sorts keys the CLI prints.
 Energies cost O(|A|^2) pair work, not O(|A|^4); nothing here uses floats.
 """
 
@@ -19,9 +19,9 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import product, starmap
 from math import gcd, isqrt, lcm
-from operator import add, lt
+from operator import add, lt, mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -162,24 +162,25 @@ def _clear(f: BivariatePoly, d: int) -> tuple[int, list[tuple[int, int, int]]]:
 def _rows(
     cleared: list[tuple[int, int, int]], xs: Collection[int], ys: Collection[int],
     merge: bool = False,
-) -> Iterator[list[list[int]]]:
-    """Per X in xs, its term columns C*X^i*Y^j over ys, which sum to the keys.
+) -> list[Iterator[int]]:
+    """The term columns C*X^i*Y^j over xs x ys, x-major, as one stream per column.
 
-    With merge, the terms that share a power of Y share one column."""
+    Each yields len(xs) * len(ys) values, running no Python code per pair; ``_keys``
+    adds them up. With merge, the terms that share a power of Y share one column."""
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for c, i, j in cleared:  # grouped once per call, not per x
+    for c, i, j in cleared:  # grouped, and the powers taken, once per call
         groups.setdefault((j,) if merge else (i, j), []).append((c, i))
     y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
-    for big_x in xs:
-        yield [list(map(sum([c * big_x**i for c, i in terms]).__mul__, y_pows[key[-1]]))
-               for key, terms in groups.items()]
+    # A list, not a map, for product's pool: pools grown from a map kept more freed memory.
+    return [starmap(mul, product(list(map(sum, zip(*[[c * x**i for x in xs] for c, i in ts]))),
+                                 y_pows[key[-1]])) for key, ts in groups.items()]
 
 
 def _pair_rows(
     f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str,
     merge: bool = False,
-) -> tuple[int, Iterator[list[list[int]]]]:
-    """The scale of f's int keys and, per x in a, its ``_rows`` over b.
+) -> tuple[int, list[Iterator[int]]]:
+    """The scale of f's int keys and the ``_rows`` streams of f over a x b.
 
     Both sets are read over D = lcm(a.scale, b.scale); the budget is checked first."""
     check_budget(len(a) * len(b), max_pairs, what)
@@ -190,10 +191,10 @@ def _pair_rows(
     return scale, _rows(cleared, xs, ys, merge)
 
 
-def _keys(columns: list[list[int]]) -> list[int]:
+def _keys(columns: list[Iterable[int]]) -> Iterable[int]:
     keys = columns[0]
     for column in columns[1:]:
-        keys = list(map(add, keys, column))
+        keys = map(add, keys, column)
     return keys
 
 
@@ -201,11 +202,8 @@ def _key_counts(
     f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str
 ) -> tuple[int, Counter]:
     """The scale of f's int keys and the number of pairs behind each key."""
-    scale, rows = _pair_rows(f, a, b, max_pairs, what, merge=True)
-    counts: Counter = Counter()
-    for columns in rows:
-        counts.update(_keys(columns))
-    return scale, counts
+    scale, columns = _pair_rows(f, a, b, max_pairs, what, merge=True)
+    return scale, Counter(_keys(columns))
 
 
 def ladder_sizes(
@@ -214,11 +212,11 @@ def ladder_sizes(
 ) -> list[int]:
     """|f(A,A)| for each set A of a ladder, from one walk when the sets nest.
 
-    The last set's pairs are then walked over its scale d in shells: shell n is
-    the pairs of set n that are not pairs of set n-1, as rows of its new keys X,
-    f(X, Y) over set n and f(Y, X) over set n-1. The key map is injective, so
-    a set's count is the key set's size after its shell. A ladder that does
-    not nest is walked one set at a time.
+    The last set's pairs are then walked over its scale d in shells of the pairs
+    of set n not in set n-1: for its new keys X, f(X, Y) over set n and f(Y, X) over
+    set n-1, unless f's cleared terms equal their transpose and so hold f(Y, X) in
+    the shell already. The key map is injective, so a set's count is the key set's
+    size after its shell. A ladder that does not nest is walked one set at a time.
     """
     d = ladder[-1].scale
     held = [{k * (d // a.scale) for k in a.keys} for a in ladder]
@@ -227,12 +225,14 @@ def ladder_sizes(
     check_budget(len(held[-1]) ** 2, max_pairs, what)
     cleared = _clear(f, d)[1]
     flip = [(c, j, i) for c, i, j in cleared]
+    mirrored = set(flip) != set(cleared)
     seen: set[int] = set()
     sizes = []
     for old, keys in zip([set()] + held, held):
         new = keys - old
-        for columns in chain(_rows(cleared, new, keys, True), _rows(flip, new, old, True)):
-            seen.update(_keys(columns))
+        seen.update(_keys(_rows(cleared, new, keys, True)))
+        if mirrored:
+            seen.update(_keys(_rows(flip, new, old, True)))
         sizes.append(len(seen))
     return sizes
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -33,7 +33,7 @@ from polyexpand import (
     productset_size,
     value_multiplicities,
 )
-from polyexpand.sets import image_keys
+from polyexpand.sets import image_keys, ladder_sizes
 
 SUM = parse_poly("x + y")  # the sumset A + B is the image of x + y
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -181,3 +181,24 @@ def test_shared_powers_of_y_with_a_constant_term():
     assert list(multiplicity_histogram(f, a).counts.items()) == list(
         reference.histogram(f, a).items()
     )
+
+
+# A nudge off the diagonal turns the symmetric g + g(y, x) near-symmetric: its
+# support stays symmetric when g holds the mirrored term, its coefficients do not.
+nudges = st.one_of(
+    st.none(), st.tuples(st.sampled_from([(1, 0), (2, 1), (3, 0), (0, 2), (1, 3)]), coefficients)
+)
+
+
+@SETTINGS
+@given(polys(max_degree=3, max_terms=3), nudges,
+       st.lists(elements, min_size=1, max_size=7, unique=True),
+       st.lists(st.integers(1, 7), min_size=1, max_size=4))
+@example(BivariatePoly({(2, 1): 1}), ((1, 2), 1), [Fraction(1), Fraction(2)], [1, 2])
+def test_nested_ladder_under_a_symmetric_f_matches_each_image(g, nudge, values, cuts):
+    # The shells of a symmetric f skip their mirrored walk; a near-symmetric one must not.
+    f = BivariatePoly(
+        [*g.terms.items(), *[((j, i), c) for (i, j), c in g.terms.items()], *[nudge] * bool(nudge)]
+    )
+    ladder = [make_set(values[:n]) for n in sorted({min(n, len(values)) for n in cuts})]
+    assert ladder_sizes(f, ladder) == [len(image_keys(f, a, a, 10**6)[1]) for a in ladder]
