@@ -38,7 +38,11 @@ walk, instead of asking for a larger `--max-pairs`. `sweep-symmetric-csv`
 (`x^2*y + 2*x*y^2`: a symmetric support under coefficients that are not) and
 `image-unsorted-set2-text` (two sets of different sizes) were recorded while
 the pair kernel still built one row per element of the first set and walked
-every shell's mirrored pairs for every polynomial. A case with a `patch` wraps
+every shell's mirrored pairs for every polynomial. `sweep-nonsymmetric-box-csv`
+(`x^2*y - x*y` on a two-generator box ladder with unsorted sizes and
+colliding values) was recorded while each shell of a ladder still prepared
+its own columns and walked a transposed copy of f's terms for its old x new
+pairs. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 
