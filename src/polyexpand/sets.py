@@ -4,12 +4,13 @@ A RationalSet is its ascending int keys k over one scale, the lcm of its
 denominators: its values are k/scale, and Fractions are built only on demand
 (``elements``). Product sets, polynomial image sets, multiplicity
 histograms, polynomial energies and sweep ladders all walk the pair space
-through one integer kernel: ``_clear`` and ``_rows`` read keys over one scale
-and stream each term column of the int keys scale*f(x, y), scale > 0, through
-C-level iterators. ``ladder_sizes`` counts |AA| and |f(A,A)| alike, walking
-nested sets once, in shells of new pairs (a symmetric f skips mirrored ones);
-``_key_counts`` keeps multiplicities. Dedup, counts, energies, sort order and
-vanishing subsums are exact on ints; ``image_keys`` sorts keys the CLI prints.
+through one integer kernel: ``_clear`` reads f over one scale, ``_columns``
+prepares each term column of the int keys scale*f(x, y), scale > 0, once, and
+``_rows`` streams it over an x-range and a y-range through C-level iterators.
+``ladder_sizes`` counts |AA| and |f(A,A)|, preparing nested sets once and walking
+shells of new pairs as slices (a symmetric f skips mirrored ones); ``_key_counts``
+keeps multiplicities. Dedup, counts, energies, sort order and vanishing subsums are
+exact on ints; ``image_keys`` sorts keys the CLI prints.
 Energies cost O(|A|^2) pair work, not O(|A|^4); nothing here uses floats.
 """
 
@@ -19,7 +20,7 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, starmap
+from itertools import pairwise, product, starmap
 from math import gcd, isqrt, lcm
 from operator import add, lt, mul
 from pathlib import Path
@@ -159,36 +160,39 @@ def _clear(f: BivariatePoly, d: int) -> tuple[int, list[tuple[int, int, int]]]:
     return coeff_lcm * d**degree, cleared
 
 
-def _rows(
-    cleared: list[tuple[int, int, int]], xs: Collection[int], ys: Collection[int],
-    merge: bool = False,
-) -> list[Iterator[int]]:
-    """The term columns C*X^i*Y^j over xs x ys, x-major, as one stream per column.
-
-    Each yields len(xs) * len(ys) values, running no Python code per pair; ``_keys``
-    adds them up. With merge, the terms that share a power of Y share one column."""
+def _columns(
+    cleared: list[tuple[int, int, int]], xs: Collection[int], ys: Collection[int], merge: bool
+) -> list[tuple[list[int], list[int]]]:
+    """The kernel's one-time preparation: per group of f's terms, the group's coefficient
+    sum of C*X^i over xs and its power Y^j over ys. With merge, a group is a power of Y."""
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for c, i, j in cleared:  # grouped, and the powers taken, once per call
+    for c, i, j in cleared:
         groups.setdefault((j,) if merge else (i, j), []).append((c, i))
     y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
-    # A list, not a map, for product's pool: pools grown from a map kept more freed memory.
-    return [starmap(mul, product(list(map(sum, zip(*[[c * x**i for x in xs] for c, i in ts]))),
-                                 y_pows[key[-1]])) for key, ts in groups.items()]
+    # Lists, not maps, become product's pools: pools grown from a map kept more freed memory.
+    return [(list(map(sum, zip(*[[c * x**i for x in xs] for c, i in ts]))), y_pows[key[-1]])
+            for key, ts in groups.items()]
+
+
+def _rows(columns: list[tuple[list[int], list[int]]], xr: slice = slice(None),
+          yr: slice = slice(None)) -> list[Iterator[int]]:
+    """The kernel's stream: each prepared column over the x-range xr x the y-range yr,
+    x-major, a value per pair and no Python code run per pair; ``_keys`` adds them."""
+    return [starmap(mul, product(cx[xr], py[yr])) for cx, py in columns]
 
 
 def _pair_rows(
     f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str,
     merge: bool = False,
 ) -> tuple[int, list[Iterator[int]]]:
-    """The scale of f's int keys and the ``_rows`` streams of f over a x b.
-
-    Both sets are read over D = lcm(a.scale, b.scale); the budget is checked first."""
+    """The scale of f's int keys and the full-range ``_rows`` streams of f over a x b,
+    both sets read over D = lcm(a.scale, b.scale); the budget is checked first."""
     check_budget(len(a) * len(b), max_pairs, what)
     d = lcm(a.scale, b.scale)
     scale, cleared = _clear(f, d)
     xs = [x * (d // a.scale) for x in a.keys]
     ys = [y * (d // b.scale) for y in b.keys]
-    return scale, _rows(cleared, xs, ys, merge)
+    return scale, _rows(_columns(cleared, xs, ys, merge))
 
 
 def _keys(columns: list[Iterable[int]]) -> Iterable[int]:
@@ -212,11 +216,12 @@ def ladder_sizes(
 ) -> list[int]:
     """|f(A,A)| for each set A of a ladder, from one walk when the sets nest.
 
-    The last set's pairs are then walked over its scale d in shells of the pairs
-    of set n not in set n-1: for its new keys X, f(X, Y) over set n and f(Y, X) over
-    set n-1, unless f's cleared terms equal their transpose and so hold f(Y, X) in
-    the shell already. The key map is injective, so a set's count is the key set's
-    size after its shell. A ladder that does not nest is walked one set at a time.
+    The last set's keys over its scale d are then ordered by the set they join, prepared
+    once, and walked in shells: if set n holds keys [0, hi) and set n-1 keys [0, lo), its
+    shell is new x all, [lo, hi) x [0, hi), then old x new, [0, lo) x [lo, hi), unless f's
+    cleared terms equal their transpose and so give old x new's values already. The key
+    map is injective, so a set's count is the key set's size after its shell. A ladder
+    that does not nest is walked one set at a time.
     """
     d = ladder[-1].scale
     held = [{k * (d // a.scale) for k in a.keys} for a in ladder]
@@ -224,15 +229,15 @@ def ladder_sizes(
         return [ladder_sizes(f, [a], max_pairs, what)[0] for a in ladder]
     check_budget(len(held[-1]) ** 2, max_pairs, what)
     cleared = _clear(f, d)[1]
-    flip = [(c, j, i) for c, i, j in cleared]
-    mirrored = set(flip) != set(cleared)
+    mirrored = {(c, j, i) for c, i, j in cleared} != set(cleared)
+    order = [k for old, keys in zip([set()] + held, held) for k in keys - old]
+    columns = _columns(cleared, order, order, True)
     seen: set[int] = set()
     sizes = []
-    for old, keys in zip([set()] + held, held):
-        new = keys - old
-        seen.update(_keys(_rows(cleared, new, keys, True)))
+    for lo, hi in pairwise([0, *map(len, held)]):
+        seen.update(_keys(_rows(columns, slice(lo, hi), slice(hi))))
         if mirrored:
-            seen.update(_keys(_rows(flip, new, old, True)))
+            seen.update(_keys(_rows(columns, slice(lo), slice(lo, hi))))
         sizes.append(len(seen))
     return sizes
 

@@ -92,7 +92,8 @@ def _coprime_base(integers: Iterable[int], size: int, max_pairs: int) -> list[in
     while work:
         m = work.pop()
         for k, b in enumerate(base):
-            m = _strip(m, b)[1]
+            if m % b == 0:
+                m = _strip(m, b)[1]
             g = math.gcd(m, b)
             if g > 1:
                 del base[k]
@@ -118,8 +119,10 @@ def multiplicative_rank(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> i
 
     {q, q^2, ...} has rank 1, multiplicatively independent elements add
     rank, and {1} (or {-1, 1}) has rank 0. The set must not contain 0.
-    Over a coprime base of m integers, elimination costs about
-    len(a) * m * min(len(a), m) entry updates, charged to max_pairs before it starts.
+    Each element is n/d in lowest terms, and n and d factor over a pairwise-coprime
+    base of m integers, so a base element b divides at most one of them: its exponent
+    is stripped from that one only, and is 0 where b divides neither. Elimination costs
+    about len(a) * m * min(len(a), m) entry updates, charged to max_pairs as the base grows.
     """
     require_nonzero_elements(a)
     # |k|/scale in lowest terms is n/d. Reducing first keeps the bits of
@@ -128,7 +131,8 @@ def multiplicative_rank(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> i
     base = _coprime_base(dict.fromkeys(m for pair in reduced for m in pair), len(a), max_pairs)
     # Pairwise-coprime integers above 1 are multiplicatively independent, so
     # the rank over this base is the rank over the primes.
-    rows = [[_strip(n, b)[0] - _strip(d, b)[0] for b in base] for n, d in reduced]
+    rows = [[_strip(n, b)[0] if n % b == 0 else -_strip(d, b)[0] if d % b == 0 else 0
+             for b in base] for n, d in reduced]
     return _integer_rank(rows)
 
 

@@ -410,9 +410,10 @@ def test_nested_ladder_walks_only_the_largest_pairs(tmp_path, monkeypatch):
     walked = []
     rows = sets_module._rows
 
-    def counting_rows(cleared, xs, ys, merge=False):
-        walked.append(len(xs) * len(ys))
-        return rows(cleared, xs, ys, merge)
+    def counting_rows(columns, xr=slice(None), yr=slice(None)):
+        coefficients, powers = columns[0]
+        walked.append(len(coefficients[xr]) * len(powers[yr]))
+        return rows(columns, xr, yr)
 
     monkeypatch.setattr(sets_module, "_rows", counting_rows)
     f = parse_poly("x^2 + y")

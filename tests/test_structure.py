@@ -104,18 +104,44 @@ def test_rank_of_many_coprime_denominators():
 
 def test_rank_matches_exponent_matrix_over_prime_pool():
     rng = random.Random(1000003)
-    for _ in range(200):
-        nrows = rng.randint(1, 6)
-        primes = rng.sample(PRIME_POOL, rng.randint(1, 5))
-        matrix = [[rng.randint(-3, 3) for _ in primes] for _ in range(nrows)]
-        elements = []
-        for row in matrix:
-            value = Fraction(rng.choice((-1, 1)))
-            for prime, exp in zip(primes, row):
-                value *= Fraction(prime) ** exp
-            elements.append(value)
-        # duplicate rows collapse in the set; the rank of the distinct ones is the same
-        assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix), matrix
+    for composite in (False, True):
+        for _ in range(200):
+            check_rank_of_random_exponent_matrix(rng, composite)
+
+
+def check_rank_of_random_exponent_matrix(rng, composite):
+    nrows = rng.randint(1, 6)
+    count = rng.randint(1, 5)
+    primes = rng.sample(PRIME_POOL, 2 * count if composite else count)
+    if composite:
+        # Products of disjoint prime pairs: pairwise coprime, so just as independent.
+        primes = [p * q for p, q in zip(primes[::2], primes[1::2])]
+    matrix = [[rng.randint(-3, 3) for _ in primes] for _ in range(nrows)]
+    elements = []
+    for row in matrix:
+        value = Fraction(rng.choice((-1, 1)))
+        for prime, exp in zip(primes, row):
+            value *= Fraction(prime) ** exp
+        elements.append(value)
+    # duplicate rows collapse in the set; the rank of the distinct ones is the same
+    assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix), matrix
+
+
+@pytest.mark.parametrize(
+    "values, rank",
+    [
+        # 6 divides the numerators of 6 and 36/35 and the denominators of 1/6 and 35/6.
+        ([6, Fraction(1, 6), Fraction(35, 6), Fraction(36, 35)], 2),
+        # Each exponent row of (6, 35) is a multiple of (1, -1).
+        ([Fraction(6, 35), Fraction(35, 6), Fraction(36, 1225)], 1),
+    ],
+)
+def test_rank_over_a_composite_base(values, rank):
+    from polyexpand.structure import _coprime_base
+
+    integers = {m for v in map(Fraction, values) for m in v.as_integer_ratio()}
+    assert sorted(_coprime_base(integers, len(values), DEFAULT_MAX_PAIRS)) == [6, 35]
+    assert multiplicative_rank(make_set(values)) == rank
 
 
 def test_coprime_base_is_pairwise_coprime_and_rebuilds_inputs():
