@@ -104,27 +104,22 @@ def test_rank_of_many_coprime_denominators():
 
 def test_rank_matches_exponent_matrix_over_prime_pool():
     rng = random.Random(1000003)
-    for composite in (False, True):
-        for _ in range(200):
-            check_rank_of_random_exponent_matrix(rng, composite)
-
-
-def check_rank_of_random_exponent_matrix(rng, composite):
-    nrows = rng.randint(1, 6)
-    count = rng.randint(1, 5)
-    primes = rng.sample(PRIME_POOL, 2 * count if composite else count)
-    if composite:
-        # Products of disjoint prime pairs: pairwise coprime, so just as independent.
-        primes = [p * q for p, q in zip(primes[::2], primes[1::2])]
-    matrix = [[rng.randint(-3, 3) for _ in primes] for _ in range(nrows)]
-    elements = []
-    for row in matrix:
-        value = Fraction(rng.choice((-1, 1)))
-        for prime, exp in zip(primes, row):
-            value *= Fraction(prime) ** exp
-        elements.append(value)
-    # duplicate rows collapse in the set; the rank of the distinct ones is the same
-    assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix), matrix
+    for composite in [False] * 200 + [True] * 200:
+        nrows = rng.randint(1, 6)
+        count = rng.randint(1, 5)
+        primes = rng.sample(PRIME_POOL, 2 * count if composite else count)
+        if composite:
+            # Products of disjoint prime pairs: pairwise coprime, so just as independent.
+            primes = [p * q for p, q in zip(primes[::2], primes[1::2])]
+        matrix = [[rng.randint(-3, 3) for _ in primes] for _ in range(nrows)]
+        elements = []
+        for row in matrix:
+            value = Fraction(rng.choice((-1, 1)))
+            for prime, exp in zip(primes, row):
+                value *= Fraction(prime) ** exp
+            elements.append(value)
+        # duplicate rows collapse in the set; the rank of the distinct ones is the same
+        assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix), matrix
 
 
 @pytest.mark.parametrize(
