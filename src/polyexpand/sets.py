@@ -169,7 +169,6 @@ def _columns(
     for c, i, j in cleared:
         groups.setdefault((j,) if merge else (i, j), []).append((c, i))
     y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
-    # Lists, not maps, become product's pools: pools grown from a map kept more freed memory.
     return [(list(map(sum, zip(*[[c * x**i for x in xs] for c, i in ts]))), y_pows[key[-1]])
             for key, ts in groups.items()]
 
