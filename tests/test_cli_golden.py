@@ -2,13 +2,13 @@
 
 `cli_golden.json` was recorded from the CLI as it stood before the parser
 was built once and output printed from one place, so these cases pin the
-bytes that rework had to keep. Argv entries `{A}`, `{B}`, `{S}`, `{U}`, `{V}`
-and `{R}` name the set files written below. `{U}` is unsorted and spells 1/2
-three ways, and `{V}` has other denominators; the image case that reads
-them was recorded before set files were sorted on integer keys, and the
-audit cases on `{V}` before audits printed from integer keys. The sweep and
-audit cases on GGP boxes and on the ratio -3/2 were recorded while boxes
-and geometric samples were still built from Fraction products. The
+bytes that rework had to keep. Argv entries `{A}`, `{B}`, `{S}`, `{U}`,
+`{V}`, `{R}` and `{G}` name the set files written below. `{U}` is unsorted
+and spells 1/2 three ways, and `{V}` has other denominators; the image case
+that reads them was recorded before set files were sorted on integer keys,
+and the audit cases on `{V}` before audits printed from integer keys. The
+sweep and audit cases on GGP boxes and on the ratio -3/2 were recorded
+while boxes and geometric samples were still built from Fraction products. The
 element-cap cases of the injectivity box, the `ggp` family and the `files`
 family were recorded while each caller still turned `--max-pairs` into its
 own element cap. The `audit-dominated-*` cases, where a term outweighs
@@ -42,7 +42,11 @@ every shell's mirrored pairs for every polynomial. `sweep-nonsymmetric-box-csv`
 (`x^2*y - x*y` on a two-generator box ladder with unsorted sizes and
 colliding values) was recorded while each shell of a ladder still prepared
 its own columns and walked a transposed copy of f's terms for its old x new
-pairs. A case with a `patch` wraps
+pairs. `audit-two-blocks-text` (`x^2*y - x*y^2 + 3*x - 3*y` on the 40
+elements `{G}`, whose terms cancel in pairs on the diagonal and where
+`x*y = -3`) was recorded while the subsum audit still cut its pairs one
+row at a time and sent every pair the row test flagged to the meet in
+the middle. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 
@@ -77,6 +81,10 @@ SETS = {
     "U": "3/4\n-5/3\n0\n2/4\n7\n1/2\n-2\n0.5\n",
     "V": "2/7\n-1/9\n5\n1/6\n",
     "R": "-51975/52\n-693/13\n-858/245\n-9/123032\n1/13663650\n6125/1144\n75/4\n",
+    "G": "".join(f"{v}\n-{v}\n" for v in (
+        "1", "2", "3", "6", "1/2", "3/2", "1/3", "2/3", "3/4", "4",
+        "5", "7", "9", "1/5", "5/3", "12", "1/4", "3/5", "8", "10",
+    )),
 }
 PATCHES = {
     "inconsistent": ("audit_vanishing_subsums", lambda r: r._replace(consistent=False)),
