@@ -20,8 +20,9 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import comb
+from operator import sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,6 +57,8 @@ from .structure import (
 
 # The subsum check of one pair costs 2^(m/2) for m support terms; refuse beyond this.
 MAX_SUBSUM_SUPPORT = 20
+# The subsum audit cuts whole rows of at most this many pairs (one row if a row is longer).
+AUDIT_BLOCK_PAIRS = 1024
 
 
 class ExceptionalPolynomialError(ValueError):
@@ -169,16 +172,20 @@ def audit_vanishing_subsums(
     # Each pair's meet in the middle builds up to 2^ceil(m/2) subset sums.
     sums = len(a) ** 2 * 2 ** ((support_size + 1) // 2)
     check_budget(sums, max_pairs, "subsum audit", "subset sums")
-    # Pairs per key, all and dirty, a row per x cut from the streams; key 0 is the value 0.
+    # Pairs per key, all and dirty, a block of rows cut from the streams; key 0 is the value 0.
     totals, dirty = Counter(), Counter()
-    for columns in ([list(islice(s, len(a))) for s in streams] for _ in a.keys):
+    rows = max(1, AUDIT_BLOCK_PAIRS // len(a))
+    for _ in range(0, len(a), rows):
+        columns = [list(islice(s, rows * len(a))) for s in streams]
         keys = list(_keys(columns))
         totals.update(keys)
         dirty.update(compress(keys, zero_proper_subset_flags(columns)))
     degree = f.degree
     dirty_bound = degree * degree * 2**support_size
     tau = dirty_bound if threshold is None else threshold
-    table = tuple((k, n - d, d) for k, n in sorted(totals.items()) for d in [dirty.get(k, 0)])
+    values = sorted(totals)
+    dirties = list(map(dirty.get, values, repeat(0)))
+    table = tuple(zip(values, map(sub, map(totals.__getitem__, values), dirties), dirties))
     bad = tuple(k for k, _, d in table if d > dirty_bound)
     k_floor = max(1, productset_size(a, max_pairs) // len(a))
     return AuditReport(

@@ -31,7 +31,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd
-from operator import gt
+from operator import gt, neg
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -297,9 +297,10 @@ def _mask_sums(values: Sequence[Fraction | int]) -> list[Fraction | int]:
 def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
     """Does any nonempty proper subset of values sum to zero?
 
-    A zero value is one by itself when there are others. Otherwise, while
-    the largest |v| left exceeds the sum of the other |w| left, it is
-    dropped: no vanishing subset can hold it, and the whole sum is not 0.
+    A zero value is one by itself when there are others, and so is a pair
+    v, -v when there are more than two values. Otherwise, while the largest
+    |v| left exceeds the sum of the other |w| left, it is dropped: no
+    vanishing subset can hold it, and the whole sum is not 0.
     Meet in the middle on the kept values joins both halves' subset sums
     by hash to count their zero-sum subsets in O(2^(n/2)), not O(2^n).
     The empty subset is one, and the full set is one if its sum is 0; any
@@ -307,6 +308,8 @@ def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
     """
     if 0 in values:
         return len(values) > 1
+    if len(values) > 2 and not set(values).isdisjoint(map(neg, values)):
+        return True
     kept = sorted(values, key=abs)
     total = sum(map(abs, kept))
     while kept and 2 * abs(kept[-1]) > total:
@@ -325,11 +328,11 @@ def zero_proper_subset_exists(values: Sequence[Fraction | int]) -> bool:
 
 
 def zero_proper_subset_flags(columns: Sequence[Sequence[Fraction | int]]) -> list[bool]:
-    """zero_proper_subset_exists on each pair of a row, given as one column per term.
+    """zero_proper_subset_exists on each pair of a block, given as one column per term.
 
     A pair whose sorted magnitudes are nonzero and each above the sum of the
     smaller ones is clean, as the prune above keeps one value at most. That
-    test runs on builtins over the row; only the other pairs reach the check.
+    test runs on builtins over the block; only the other pairs reach the check.
     """
     pairs = list(zip(*columns))
     magnitudes = map(sorted, zip(*[map(abs, column) for column in columns]))

@@ -9,6 +9,7 @@ include the zero polynomial and constants.
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,6 +34,7 @@ from polyexpand import (
     productset_size,
     value_multiplicities,
 )
+from polyexpand import lab
 from polyexpand.sets import image_keys, ladder_sizes
 
 SUM = parse_poly("x + y")  # the sumset A + B is the image of x + y
@@ -91,11 +93,21 @@ def test_product_and_sum_sets_match_reference(a, b):
     assert doubling_ratio(a) == Fraction(len(products), len(a))
 
 
+# Pairs per audit block: the default holds every set drawn here in one block;
+# 1 cuts one row per block, and 10 cuts five elements' rows as 2, 2 and 1.
+audit_blocks = st.one_of(st.just(lab.AUDIT_BLOCK_PAIRS), st.integers(1, 20))
+PAIRED_TERMS = parse_poly("x^2*y - x*y^2 + 3*x - 3*y")  # its terms cancel in pairs where x = y
+
+
 @SETTINGS
-@given(polys(max_terms=6), sets)
-def test_audit_table_matches_reference(f, a):
+@given(polys(max_terms=6), sets, audit_blocks)
+@example(PAIRED_TERMS, make_set([1, -1, 3, -3, 2]), 1)
+@example(PAIRED_TERMS, make_set([1, -1, 3, -3, 2]), 10)
+def test_audit_table_matches_reference(f, a, block_pairs):
     assume(non_exceptional(f))
-    report = audit_vanishing_subsums(f, a)
+    # patch.object, not monkeypatch: a function-scoped fixture is refused under @given.
+    with mock.patch.object(lab, "AUDIT_BLOCK_PAIRS", block_pairs):
+        report = audit_vanishing_subsums(f, a)
     table, zero_full_sum = reference.audit_table(f, a)
     assert [(Fraction(k, report.scale), c, d) for k, c, d in report.table] == table
     assert report.zero_value_full_sum_solutions == zero_full_sum

@@ -304,10 +304,27 @@ def test_zero_subset_detector_matches_combinations(values):
         ([1, 2, 4, 8], False),  # every term is dropped
         ([1, 2, 3], False),  # 3 ties 1 + 2, so nothing is dropped; no subset vanishes
         ([1, 2, -3], False),  # the same tie; only the full set vanishes
+        ([5, -5], False),  # only the full set vanishes
+        ([5, -5, 1], True),  # 5 - 5 is a proper subset
+        ([Fraction(1, 3), 7, Fraction(-1, 3)], True),
     ],
 )
 def test_zero_subset_detector_pruned_cases(values, expected):
     assert zero_proper_subset_exists(values) == expected
+
+
+def test_zero_subset_detector_settles_a_cancelling_pair_without_subset_sums(monkeypatch):
+    calls = []
+    mask_sums = polynomials._mask_sums
+
+    def counted(values):
+        calls.append(values)
+        return mask_sums(values)
+
+    monkeypatch.setattr(polynomials, "_mask_sums", counted)
+    # 12 is not above 9 + 10 + 9, so the prune drops nothing; 9 - 9 settles it.
+    assert zero_proper_subset_exists((9, 10, -9, 12))
+    assert calls == []
 
 
 @st.composite
@@ -336,7 +353,7 @@ def test_zero_subset_detector_matches_reference(values):
 
 @st.composite
 def subsum_rows(draw):
-    """Pairs of one term count, as rows of the audit hold them.
+    """Pairs of one term count, as blocks of the audit hold them.
 
     Values are small or 2^64-sized ints of both signs, with zeros and repeats;
     a pair may hold a planted c, -c and a tail of magnitudes each at, above or
