@@ -46,7 +46,9 @@ pairs. `audit-two-blocks-text` (`x^2*y - x*y^2 + 3*x - 3*y` on the 40
 elements `{G}`, whose terms cancel in pairs on the diagonal and where
 `x*y = -3`) was recorded while the subsum audit still cut its pairs one
 row at a time and sent every pair the row test flagged to the meet in
-the middle. A case with a `patch` wraps
+the middle. The `argparse-*` cases pin argparse's own usage errors and
+help, with the exit code of its `SystemExit`; they were recorded while
+`main` still read every argv with the full parser. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 
@@ -67,6 +69,7 @@ It prints the number of cases and exits non-zero with the ids that differ.
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -106,7 +109,9 @@ def write_sets(directory: Path) -> dict[str, str]:
 
 
 def replay(argv: list[str], patch: str | None, directory: Path) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of the CLI on argv, with set files in directory."""
+    """Exit code, stdout and stderr of the CLI on argv, with set files in directory.
+
+    COLUMNS is 80, so argparse wraps its usage and help the same way on every terminal."""
     paths = write_sets(directory)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
@@ -116,9 +121,13 @@ def replay(argv: list[str], patch: str | None, directory: Path) -> tuple[int, st
             stack.enter_context(
                 mock.patch.object(cli, attr, lambda *a, **k: falsify(original(*a, **k)))
             )
+        stack.enter_context(mock.patch.dict(os.environ, COLUMNS="80"))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        code = cli.main([arg.format(**paths) for arg in argv])
+        try:
+            code = cli.main([arg.format(**paths) for arg in argv])
+        except SystemExit as exc:  # argparse's usage errors and help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -165,7 +174,7 @@ if __name__ == "__main__":
         print(f"{len(CASES) - len(differ)} of {len(CASES)} cases match")
         if differ:
             raise SystemExit("differ: " + " ".join(differ))
-    elif len(sys.argv) < 5 or sys.argv[1] != "--record" or sys.argv[3] != "--":
+    elif len(sys.argv) < 4 or sys.argv[1] != "--record" or sys.argv[3] != "--":
         raise SystemExit("usage: test_cli_golden.py --check | --record ID -- ARGV...")
     else:
         record(sys.argv[2], sys.argv[4:])
