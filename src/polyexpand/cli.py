@@ -45,7 +45,7 @@ EXIT_INCONSISTENT = 4
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="polyexpand",
         description="Exact experiments on image growth of bivariate polynomials "
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    return parser
+    return parser, sub.choices
 
 
 # Each cmd_* takes the arguments and the parsed --poly (None without one) and returns
@@ -300,6 +300,10 @@ def cmd_bound(args: argparse.Namespace, f: None) -> Result:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command argv names (default: sys.argv[1:]); return its exit code.
+
+    argv goes to that command's own parser, and to the full parser, for its usage, help
+    and error text, only if it names no command or that parser leaves some of it unread."""
     # argparse takes a value such as "-x*y", "-2^[3]" or "-1,2" for an option,
     # so glue it to the option before it, if that option takes a value.
     glued: list[str] = []
@@ -310,7 +314,12 @@ def main(argv: list[str] | None = None) -> int:
             glued[-1] = f"{last}={arg}"
         else:
             glued.append(arg)
-    args = build_parser().parse_args(glued)
+    parser, commands = build_parser()
+    command = commands.get(glued[0]) if glued else None
+    if command is not None:
+        args, unread = command.parse_known_args(glued[1:], argparse.Namespace(command=glued[0]))
+    if command is None or unread:
+        args = parser.parse_args(glued)
     try:
         if args.max_pairs < 1:
             raise ValueError("--max-pairs must be positive")

@@ -96,7 +96,8 @@ class BivariatePoly:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in ({i}, {j})")
             key = (int(i), int(j))
-            merged[key] = merged.get(key, Fraction(0)) + Fraction(coefficient)
+            value = Fraction(coefficient)
+            merged[key] = merged[key] + value if key in merged else value
         self._terms = {
             key: value
             for key, value in sorted(merged.items(), key=lambda kv: _grlex_key(kv[0]))

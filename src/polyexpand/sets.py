@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .polynomials import BivariatePoly
-from .rational import RationalParseError, format_key, parse_rational
+from .rational import RationalParseError, format_key, parse_ratio
 
 DEFAULT_MAX_PAIRS = 100_000_000
 
@@ -125,20 +125,23 @@ def make_set(values: Iterable[Fraction | int]) -> RationalSet:
 
 
 def read_set_file(path: str | Path) -> RationalSet:
-    """Read a set file: one element per line, '#' comments and blanks ignored."""
-    values = []
+    """Read a set file: one element per line, '#' comments and blanks ignored.
+
+    Its literals p/q become keys p * (d // q) over d = lcm(q, ...): no Fraction is built."""
+    ratios = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(parse_rational(line))
+                ratios.append(parse_ratio(line))
             except RationalParseError as exc:
                 raise RationalParseError(f"{path}, line {lineno}: {exc}") from exc
-    if not values:
+    if not ratios:
         raise ValueError(f"{path}: no elements found")
-    return make_set(values)
+    d = lcm(*[q for _, q in ratios])
+    return RationalSet.from_keys(d, [p * (d // q) for p, q in ratios])
 
 
 PRODUCT = BivariatePoly({(1, 1): 1})

@@ -133,7 +133,8 @@ def multiplicative_rank(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> i
     # the rank over this base is the rank over the primes.
     rows = [[_strip(n, b)[0] if n % b == 0 else -_strip(d, b)[0] if d % b == 0 else 0
              for b in base] for n, d in reduced]
-    return _integer_rank(rows)
+    # The rank of the transpose is the same; eliminating over the shorter side is cheaper.
+    return _integer_rank(rows if len(base) >= len(rows) else list(zip(*rows)))
 
 
 class GGP(NamedTuple("GGP", [("generators", tuple[Fraction, ...]), ("dims", tuple[int, ...])])):

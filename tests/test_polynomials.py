@@ -192,6 +192,19 @@ def test_zero_polynomial_has_no_support_or_degree():
         classify_monomial_composition(zero)
 
 
+def test_repeated_exponent_pairs_merge_to_one_exact_fraction():
+    f = BivariatePoly([
+        ((1, 0), 0.5), ((1, 0), 0.25),  # floats merge exactly, not as a float
+        ((0, 1), 2), ((0, 1), Fraction(-1, 3)), ((0, 1), 0.5),
+        ((2, 2), Fraction(3, 7)), ((2, 2), Fraction(-3, 7)),  # a pair that cancels
+        ((3, 0), 1), ((3, 0), -1.0),
+        ((0, 0), 7),
+    ])
+    assert dict(f.terms) == {(1, 0): Fraction(3, 4), (0, 1): Fraction(13, 6), (0, 0): Fraction(7)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert f == BivariatePoly({(1, 0): Fraction(3, 4), (0, 1): Fraction(13, 6), (0, 0): 7})
+
+
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         BivariatePoly({(-1, 0): Fraction(1)})

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyexpand import RationalParseError, format_rational, parse_rational
-from polyexpand.rational import format_key
+from polyexpand.rational import format_key, parse_ratio
 
 
 def test_fractions_reduce():
@@ -38,6 +39,53 @@ def test_surrounding_whitespace_is_fine():
 def test_malformed_text_is_rejected(bad):
     with pytest.raises(RationalParseError):
         parse_rational(bad)
+
+
+LITERALS = ["3/6", "10/4", "-0.75", "0.25", ".5", "2.", "0.1", "7", "-12", "+4", "  5/10 ",
+            "+7", "0/3", "5.", "-.5", "-0/7", "007/0010"]
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_parse_ratio_reads_what_parse_rational_reads(text):
+    p, q = parse_ratio(text)
+    assert q > 0
+    assert Fraction(p, q) == parse_rational(text) == Fraction(text.strip())
+
+
+def test_parse_ratio_keeps_the_written_denominator():
+    assert parse_ratio("3/6") == (3, 6)
+    assert parse_ratio("-0.75") == (-75, 100)
+    assert parse_ratio("+7") == (7, 1)
+
+
+def test_decimal_reads_each_digit_run_against_the_limit():
+    # Fraction reads the whole and the fractional digits apart, each within the limit.
+    limit = sys.get_int_max_str_digits()
+    text = "-" + "9" * limit + "." + "9" * limit
+    assert Fraction(*parse_ratio(text)) == parse_rational(text) == Fraction(text)
+
+
+TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["", "1/0", "1e3", "abc", "1 / 2", "--3", "1/-2", "0x10", "1.2.3", "3/4/5", ".", "5/0",
+     TOO_LONG, f"1/{TOO_LONG}", f"-{TOO_LONG}.5", f"0.{TOO_LONG}"],
+    ids=lambda text: text if len(text) < 20 else f"{text[:8]}...({len(text)} chars)",
+)
+def test_parse_ratio_and_parse_rational_raise_the_same_message(bad):
+    with pytest.raises(RationalParseError) as ratio:
+        parse_ratio(bad)
+    with pytest.raises(RationalParseError) as rational:
+        parse_rational(bad)
+    assert str(ratio.value) == str(rational.value)
+    if bad.startswith(("1/0", "5/0")):
+        assert str(ratio.value) == f"zero denominator in {bad!r}"
+    elif TOO_LONG in bad:
+        assert str(ratio.value).startswith("Exceeds the limit")
+    else:
+        assert str(ratio.value) == f"not a rational literal: {bad!r}"
 
 
 def test_zero_denominator_message():

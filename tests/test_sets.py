@@ -1,6 +1,8 @@
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -341,6 +343,23 @@ def test_read_set_file(tmp_path):
     path = tmp_path / "a.txt"
     path.write_text("# a sample set\n2\n\n4/2\n-0.5\n8\n", encoding="utf-8")
     assert read_set_file(path) == make_set([2, Fraction(-1, 2), 8])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), min_size=1),
+    st.randoms(use_true_random=False),
+)
+def test_read_set_file_matches_make_set(fractions, rng):
+    lines = [text for q in fractions for text in spellings(q)]
+    lines += [f"{k * q.numerator}/{k * q.denominator}" for q in fractions
+              for k in [rng.randint(2, 30)]]
+    lines += [str(int(q)) for q in fractions if q.denominator == 1]
+    rng.shuffle(lines)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "set.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_set_file(path) == make_set(fractions)
 
 
 def test_read_set_file_reports_line(tmp_path):

@@ -122,6 +122,16 @@ def test_rank_matches_exponent_matrix_over_prime_pool():
         assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix), matrix
 
 
+def test_rank_eliminates_over_the_shorter_side():
+    # Tall: a 6x6 box over two primes has 36 rows over a base of 2.
+    tall = [[i, j] for i in range(6) for j in range(6)]
+    # Wide: 3 rows over 6 primes, the third the sum of the others.
+    wide = [[1, 2, 0, 1, 0, 3], [0, 1, -1, 0, 2, 0], [1, 3, -1, 1, 2, 3]]
+    for matrix, primes, rank in ((tall, (2, 3), 2), (wide, (2, 3, 5, 7, 11, 13), 2)):
+        elements = [math.prod(Fraction(p) ** e for p, e in zip(primes, row)) for row in matrix]
+        assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix) == rank
+
+
 @pytest.mark.parametrize(
     "values, rank",
     [
