@@ -11,7 +11,7 @@ and iteration are deterministic. The text grammar (whitespace-insensitive):
 
 A uint is a run of decimal digits (str.isdecimal). Three regular
 expressions match whitespace, coefs and factors; each error carries its
-position, and rational.parse_rational reads each literal. A leading "-"
+position, and rational.parse_ratio reads each literal. A leading "-"
 negates the first term; a missing exponent means 1. Printing emits text
 this grammar accepts, so parse(str(f)) == f.
 
@@ -35,7 +35,7 @@ from operator import gt, neg
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .rational import RationalParseError, format_rational, parse_rational
+from .rational import RationalParseError, format_rational, parse_ratio
 
 ExponentPair = tuple[int, int]
 
@@ -96,7 +96,7 @@ class BivariatePoly:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in ({i}, {j})")
             key = (int(i), int(j))
-            value = Fraction(coefficient)
+            value = coefficient if type(coefficient) is Fraction else Fraction(coefficient)
             merged[key] = merged[key] + value if key in merged else value
         self._terms = {
             key: value
@@ -191,9 +191,9 @@ _COEF = re.compile(r"(\d*)(?:\.(\d*)|/(\d*))?")
 _FACTOR = re.compile(r"([xy])(?:\^(\d*))?")
 
 
-def _literal(text: str, start: int, end: int) -> Fraction:
+def _literal(text: str, start: int, end: int) -> tuple[int, int]:
     try:
-        return parse_rational(text[start:end])
+        return parse_ratio(text[start:end])
     except RationalParseError as exc:
         raise PolyParseError(str(exc), start) from None
 
@@ -214,10 +214,10 @@ def parse_poly(text: str) -> BivariatePoly:
             if denominator is not None and not denominator.strip("0"):
                 message = "zero denominator" if denominator else "expected a denominator"
                 raise PolyParseError(message, coef.end())
-            coefficient, missing = _literal(text, pos, coef.end()), None
+            (p, q), missing = _literal(text, pos, coef.end()), None
             pos = coef.end()
         else:
-            coefficient, missing = Fraction(1), "expected a term"
+            (p, q), missing = (1, 1), "expected a term"
         exponents = [0, 0]
         while True:
             if missing:
@@ -230,14 +230,14 @@ def parse_poly(text: str) -> BivariatePoly:
                 pos = factor.end()
                 if power == "":
                     raise PolyParseError("exponent must be an unsigned integer", pos)
-                exponent = 1 if power is None else int(_literal(text, factor.start(2), pos))
+                exponent = 1 if power is None else _literal(text, factor.start(2), pos)[0]
                 exponents["xy".index(variable)] += exponent
             pos = _SPACE.match(text, pos).end()
             if not text.startswith("*", pos):
                 break
             pos = _SPACE.match(text, pos + 1).end()
             missing = "expected a variable factor after '*'"
-        terms.append(((exponents[0], exponents[1]), -coefficient if negate else coefficient))
+        terms.append(((exponents[0], exponents[1]), Fraction(-p if negate else p, q)))
         if pos == len(text):
             return BivariatePoly(terms)
         if text[pos] not in "+-":
