@@ -48,7 +48,11 @@ elements `{G}`, whose terms cancel in pairs on the diagonal and where
 row at a time and sent every pair the row test flagged to the meet in
 the middle. The `argparse-*` cases pin argparse's own usage errors and
 help, with the exit code of its `SystemExit`; they were recorded while
-`main` still read every argv with the full parser. A case with a `patch` wraps
+`main` still read every argv with the full parser. `sweep-rendered-poly-text`,
+`sweep-rendered-poly-json` (`-1/2*x^2*y + 3*y - 7/3` on `geometric:3/2`) and
+`sweep-exceptional-text` (`x^2*y^2 - 1/3` with `--allow-exceptional`) were
+recorded while a sweep still rendered f twice, once into its result record
+and once into a payload that only `--format json` prints. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 
