@@ -8,14 +8,11 @@ Output is deterministic: identical inputs produce byte-identical output in
 every format.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
 import sys
 from decimal import Decimal
-from fractions import Fraction
 
 from .lab import (
     audit_injectivity,
@@ -90,24 +87,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 # Each cmd_* takes the arguments and the parsed --poly (None without one) and returns
-# (exit code, JSON payload, text lines); main adds the command and f to the payload.
+# (exit code, JSON payload, text lines), formatting each value once. main prints the
+# payload, with the command and f added, for --format json and the lines otherwise;
+# sweep builds only the one that its format prints.
 Result = tuple[int, dict, list[str]]
 
 
 def cmd_classify(args: argparse.Namespace, f: BivariatePoly) -> Result:
     decomposition = classify_monomial_composition(f)
     if decomposition is not None:
+        g, monomial = str(decomposition.g), format_monomial(decomposition.monomial)
         payload = {
             "classification": "exceptional",
-            "g": str(decomposition.g),
-            "monomial": format_monomial(decomposition.monomial),
+            "g": g,
+            "monomial": monomial,
             "monomial_exponents": list(decomposition.monomial),
             "trivial": decomposition.trivial,
         }
         lines = [
             "EXCEPTIONAL",
-            f"  g(t) = {decomposition.g}",
-            f"  M(x,y) = {format_monomial(decomposition.monomial)}",
+            f"  g(t) = {g}",
+            f"  M(x,y) = {monomial}",
             f"  trivial = {str(decomposition.trivial).lower()}",
         ]
     else:
@@ -154,18 +154,18 @@ def cmd_structure(args: argparse.Namespace, f: None) -> Result:
     require_nonzero_elements(a)  # before the product walk, which a larger cap cannot save
     products = productset_size(a, args.max_pairs)
     rank = multiplicative_rank(a, args.max_pairs)
-    doubling = Fraction(products, len(a))
+    doubling = format_key(products, len(a))
     payload = {
         "set_size": len(a),
         "productset_size": products,
-        "doubling": format_rational(doubling),
-        "doubling_float": float(doubling),
+        "doubling": doubling,
+        "doubling_float": products / len(a),  # correctly rounded, as float(Fraction) is
         "rank": rank,
     }
     lines = [
         f"size = {len(a)}",
         f"productset = {products}",
-        f"doubling = {format_rational(doubling)}",
+        f"doubling = {doubling}",
         f"rank = {rank}",
     ]
     return EXIT_OK, payload, lines
@@ -233,9 +233,8 @@ def cmd_audit(args: argparse.Namespace, f: BivariatePoly) -> Result:
     return exit_code, payload, lines
 
 
-# The CSV columns are these JSON row fields; the header drops their "_float".
-SWEEP_CSV_KEYS = ("N", "setsize", "productset", "K_float", "image", "ratio_float")
-SWEEP_CSV_HEADER = ",".join(key.removesuffix("_float") for key in SWEEP_CSV_KEYS)
+# The CSV prints K and ratio as the floats of the JSON rows' K_float and ratio_float.
+SWEEP_CSV_HEADER = "N,setsize,productset,K,image,ratio"
 
 
 def cmd_sweep(args: argparse.Namespace, f: BivariatePoly) -> Result:
@@ -251,29 +250,33 @@ def cmd_sweep(args: argparse.Namespace, f: BivariatePoly) -> Result:
         allow_exceptional=args.allow_exceptional,
         max_pairs=args.max_pairs,
     )
-    payload = {
-        "family": report.family,
-        "growth_exponent": report.growth_exponent,
-        "rows": [
-            {
-                "N": row.N,
-                "setsize": row.set_size,
-                "productset": row.productset_size,
-                "K": format_rational(row.doubling),
-                "K_float": float(row.doubling),
-                "image": row.image_size,
-                "ratio": format_rational(row.ratio),
-                "ratio_float": float(row.ratio),
-            }
-            for row in report.rows
-        ],
-    }
+    if args.format == "json":
+        payload = {
+            "family": report.family,
+            "growth_exponent": report.growth_exponent,
+            "rows": [
+                {
+                    "N": row.N,
+                    "setsize": row.set_size,
+                    "productset": row.productset_size,
+                    "K": format_rational(row.doubling),
+                    "K_float": float(row.doubling),
+                    "image": row.image_size,
+                    "ratio": format_rational(row.ratio),
+                    "ratio_float": float(row.ratio),
+                }
+                for row in report.rows
+            ],
+        }
+        return EXIT_OK, payload, []
     if args.format == "csv":
         lines = [SWEEP_CSV_HEADER] + [
-            ",".join(str(row[key]) for key in SWEEP_CSV_KEYS) for row in payload["rows"]
+            f"{row.N},{row.set_size},{row.productset_size},{float(row.doubling)},"
+            f"{row.image_size},{float(row.ratio)}"
+            for row in report.rows
         ]
-        return EXIT_OK, payload, lines
-    lines = [f"family = {report.family}", f"f = {report.polynomial}"]
+        return EXIT_OK, {}, lines
+    lines = [f"family = {report.family}", f"f = {f}"]
     lines.append(f"{'N':>6} {'|A|':>8} {'|AA|':>8} {'K':>10} {'|f(A,A)|':>10} {'ratio':>10}")
     for row in report.rows:
         lines.append(
@@ -282,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace, f: BivariatePoly) -> Result:
         )
     if report.growth_exponent is not None:
         lines.append(f"fitted growth exponent = {report.growth_exponent:.4f}")
-    return EXIT_OK, payload, lines
+    return EXIT_OK, {}, lines
 
 
 def cmd_bound(args: argparse.Namespace, f: None) -> Result:
@@ -328,10 +331,12 @@ def main(argv: list[str] | None = None) -> int:
         f = parse_poly(args.poly) if "poly" in args else None
         # Looked up at each call, so a rebound cmd_* is the one that runs.
         code, payload, lines = globals()[f"cmd_{args.command}"](args, f)
-        payload["command"] = args.command
-        if f is not None:
-            payload["polynomial"] = str(f)
-        print(json.dumps(payload, sort_keys=True) if args.format == "json" else "\n".join(lines))
+        if args.format == "json":
+            payload["command"] = args.command
+            if f is not None:
+                payload["polynomial"] = str(f)
+            lines = [json.dumps(payload, sort_keys=True)]
+        print("\n".join(lines))
         return code
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,6 @@ Around that sit the energy inequality check and growth sweeps that fit
 log |f(A,A)| against log |A| over parameterized set families.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -122,7 +120,6 @@ class ExpansionReport(NamedTuple):
     """Per-size image statistics and the fitted log-log growth exponent."""
 
     family: str
-    polynomial: str
     rows: tuple[SweepRow, ...]
     growth_exponent: float | None
 
@@ -252,7 +249,7 @@ class GeometricFamily(NamedTuple("GeometricFamily", [("ratio", Fraction)])):
 
     __slots__ = ()
 
-    def __new__(cls, ratio: Fraction | int) -> GeometricFamily:
+    def __new__(cls, ratio: Fraction | int) -> "GeometricFamily":
         if Fraction(ratio) in (0, 1, -1):
             raise ValueError("geometric ratio must not be 0, 1, or -1")
         return super().__new__(cls, Fraction(ratio))
@@ -283,7 +280,7 @@ class FileFamily(NamedTuple("FileFamily", [("paths", tuple[str, ...])])):
 
     __slots__ = ()
 
-    def __new__(cls, paths: tuple[str, ...]) -> FileFamily:
+    def __new__(cls, paths: tuple[str, ...]) -> "FileFamily":
         if not paths:
             raise ValueError("a file family needs at least one path")
         return super().__new__(cls, paths)
@@ -380,7 +377,6 @@ def expansion_sweep(
     exponent = _log_log_slope([(row.set_size, row.image_size) for row in rows])
     return ExpansionReport(
         family=family.describe(),
-        polynomial=str(f),
         rows=tuple(rows),
         growth_exponent=exponent,
     )

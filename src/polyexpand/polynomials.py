@@ -23,8 +23,6 @@ point (x, y) is the sum of the term values over a nonempty proper subset
 of the support.
 """
 
-from __future__ import annotations
-
 import itertools
 import re
 from collections.abc import Iterable, Mapping, Sequence

@@ -6,8 +6,6 @@ below are accepted; anything else (scientific notation, infinities, repeated
 fractions) is a parse error.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from math import gcd

@@ -14,8 +14,6 @@ exact on ints; ``image_keys`` sorts keys the CLI prints.
 Energies cost O(|A|^2) pair work, not O(|A|^4); nothing here uses floats.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
@@ -79,7 +77,7 @@ class RationalSet:
         self.__dict__.update(scale=scale, keys=keys)
 
     @classmethod
-    def from_keys(cls, scale: int, keys: Iterable[int]) -> RationalSet:
+    def from_keys(cls, scale: int, keys: Iterable[int]) -> "RationalSet":
         """The set of the values k/scale for scale > 0: dedups, reduces by the gcd, sorts."""
         distinct = set(keys)
         g = _gcd(scale, distinct)

@@ -12,8 +12,6 @@ make monomial values determine their arguments is kept as the tests'
 reference; the injectivity audit no longer calls it.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -147,7 +145,7 @@ class GGP(NamedTuple("GGP", [("generators", tuple[Fraction, ...]), ("dims", tupl
 
     __slots__ = ()
 
-    def __new__(cls, generators: Iterable[Fraction | int], dims: Iterable[int]) -> GGP:
+    def __new__(cls, generators: Iterable[Fraction | int], dims: Iterable[int]) -> "GGP":
         self = super().__new__(cls, tuple(map(Fraction, generators)), tuple(map(int, dims)))
         if len(self.generators) != len(self.dims):
             raise ValueError("one box dimension is needed per generator")

@@ -1,7 +1,5 @@
 """Seeded random generators, fixed inputs and a CPU-limited child for the test modules."""
 
-from __future__ import annotations
-
 import os
 import random
 import resource

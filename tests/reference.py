@@ -7,8 +7,6 @@ sharing no code with the package's fast paths. Property tests compare the
 package against them.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections.abc import Iterator

@@ -3,15 +3,20 @@ import math
 import random
 import subprocess
 import sys
+import typing
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import polyexpand
 from genutil import all_monomials, run_python_with_two_cpu_seconds
-from polyexpand import structure
+from polyexpand import cli, structure
 from polyexpand.cli import SWEEP_CSV_HEADER, main
+from polyexpand.polynomials import BivariatePoly
+from test_cli_golden import CASES, replay
 
 
 def run_cli(argv, capsys):
@@ -504,3 +509,44 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     result = subprocess.run([sys.executable, "-S", "-c", code, src],
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    # Under postponed annotations, each record field would hold a ForwardRef built at import.
+    records = (
+        polyexpand.AuditReport, polyexpand.EnergyCheck, polyexpand.SweepRow,
+        polyexpand.ExpansionReport, polyexpand.GGPFamily, polyexpand.BoundValue,
+        polyexpand.MonomialDecomposition, polyexpand.MultiplicityHistogram,
+    )
+    assert [
+        (record.__name__, field)
+        for record in records
+        for field, annotation in record.__annotations__.items()
+        if isinstance(annotation, typing.ForwardRef)
+    ] == []
+    assert polyexpand.ExpansionReport._fields == ("family", "rows", "growth_exponent")
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if case["code"] in (0, 4)], ids=lambda case: case["id"]
+)
+def test_each_printed_value_is_rendered_once(case, tmp_path):
+    """str(f) runs only where f is printed, and a sweep formats no rational it does not print."""
+    argv = case["argv"]
+    assert not any(arg.startswith(("--format=", "--poly=")) for arg in argv)
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    with mock.patch.object(BivariatePoly, "__str__", counted("str", BivariatePoly.__str__)), \
+            mock.patch.object(cli, "format_rational", counted("format", cli.format_rational)):
+        code, out, _ = replay(argv, case["patch"], tmp_path)
+    assert code == case["code"]
+    sweep = argv[0] == "sweep"
+    printed = (fmt == "json" and "--poly" in argv) or (sweep and fmt == "text")
+    assert calls["str"] == (1 if printed else 0)
+    if sweep:
+        rows = len(json.loads(out)["rows"]) if fmt == "json" else 0
+        assert calls["format"] == 2 * rows
