@@ -52,7 +52,11 @@ help, with the exit code of its `SystemExit`; they were recorded while
 `sweep-rendered-poly-json` (`-1/2*x^2*y + 3*y - 7/3` on `geometric:3/2`) and
 `sweep-exceptional-text` (`x^2*y^2 - 1/3` with `--allow-exceptional`) were
 recorded while a sweep still rendered f twice, once into its result record
-and once into a payload that only `--format json` prints. A case with a `patch` wraps
+and once into a payload that only `--format json` prints.
+`image-shared-denominators-text` and `image-shared-denominators-json`
+(`x^2 - 2/3*x*y` on `{G}` x `{S}`: 120 pairs giving 0, integers, negatives
+and fractions over a few denominators) were recorded while each printed
+value still built the text of its own reduced denominator. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 
