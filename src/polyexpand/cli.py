@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from decimal import Decimal
 
 from .lab import (
     audit_injectivity,
@@ -23,7 +22,7 @@ from .lab import (
 )
 from .polynomials import BivariatePoly, format_monomial, parse_poly
 from .polynomials import classify_monomial_composition, non_parallel_witnesses
-from .rational import format_key, format_rational
+from .rational import format_int, format_key, format_keys, format_rational
 from .sets import (  # noqa: F401 - bench/test_bench.py reads cli.image_set
     DEFAULT_MAX_PAIRS,
     CapExceeded,
@@ -129,7 +128,7 @@ def cmd_image(args: argparse.Namespace, f: BivariatePoly) -> Result:
     a = read_set_file(args.set_path)
     b = read_set_file(args.set2_path) if args.set2_path else a
     scale, keys = image_keys(f, a, b, args.max_pairs)
-    values = [format_key(k, scale) for k in keys]
+    values = format_keys(keys, scale)
     payload = {"size": len(values), "values": values}
     lines = [f"size = {len(values)}", f"values = {{{', '.join(values)}}}"]
     return EXIT_OK, payload, lines
@@ -186,16 +185,15 @@ def cmd_audit(args: argparse.Namespace, f: BivariatePoly) -> Result:
 
     if args.set_path is not None:
         a = read_set_file(args.set_path)
-        report = audit_vanishing_subsums(
-            f, a, threshold=args.threshold, max_pairs=args.max_pairs
-        )
-        high = [format_key(k, report.scale) for k in report.high_multiplicity]
-        # Text prints the table only when the report is inconsistent.
+        report = audit_vanishing_subsums(f, a, args.threshold, max_pairs=args.max_pairs)
+        high = format_keys(report.high_multiplicity, report.scale)
+        # Text prints no bad values, and the table only when the report is inconsistent.
+        json_out = args.format == "json"
+        bad = format_keys(report.bad_values, report.scale) if json_out else []
         table = [
-            {"value": format_key(k, report.scale), "clean": c, "dirty": d}
-            for k, c, d in report.table
-        ] if args.format == "json" or not report.consistent else []
-        bad = [format_key(k, report.scale) for k in report.bad_values]
+            {"value": value, "clean": c, "dirty": d} for value, (_, c, d) in zip(
+                format_keys([k for k, _, _ in report.table], report.scale), report.table)
+        ] if json_out or not report.consistent else []
         payload["subsum_audit"] = summary = {
             **report._asdict(), "bad_values": bad, "high_multiplicity": high, "table": table
         }
@@ -244,11 +242,7 @@ def cmd_sweep(args: argparse.Namespace, f: BivariatePoly) -> Result:
     except ValueError as exc:
         raise ValueError(f"--N must be a comma-separated integer list: {exc}") from exc
     report = expansion_sweep(
-        f,
-        family,
-        sizes,
-        allow_exceptional=args.allow_exceptional,
-        max_pairs=args.max_pairs,
+        f, family, sizes, allow_exceptional=args.allow_exceptional, max_pairs=args.max_pairs
     )
     if args.format == "json":
         payload = {
@@ -290,8 +284,7 @@ def cmd_sweep(args: argparse.Namespace, f: BivariatePoly) -> Result:
 
 def cmd_bound(args: argparse.Namespace, f: None) -> Result:
     bound = amoroso_viada_bound(args.n, args.r)
-    # Decimal prints past the int-to-str digit limit, which stays in force for parsing.
-    value = str(Decimal(bound.value))
+    value = format_int(bound.value)
     payload = {**bound._asdict(), "value": value}
     lines = [
         f"n = {bound.n}",

@@ -7,6 +7,8 @@ fractions) is a parse error.
 """
 
 import re
+from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -49,6 +51,28 @@ def format_rational(value: Fraction) -> str:
 
 
 def format_key(key: int, scale: int) -> str:
-    """The text of ``Fraction(key, scale)`` for ``scale > 0``, built with no Fraction."""
-    g = gcd(key, scale)
-    return str(key // g) if g == scale else f"{key // g}/{scale // g}"
+    """The text of ``Fraction(key, scale)`` for ``scale > 0``: ``format_keys`` on one key."""
+    return format_keys((key,), scale)[0]
+
+
+def format_keys(keys: Sequence[int], scale: int) -> list[str]:
+    """The texts of ``Fraction(k, scale)`` for keys over one ``scale > 0``, built with no
+    Fraction: each key has its own gcd, and each reduced denominator's text is built once."""
+    for text in str, format_int:  # format_int only for a run with a text past the digit limit
+        tails, texts = {scale: ""}, []  # the text "/q" by g = gcd(k, scale), q = scale // g
+        try:
+            for k in keys:
+                g = gcd(k, scale)
+                tail = tails.get(g)
+                if tail is None:
+                    tail = tails[g] = "/" + text(scale // g)
+                texts.append(text(k // g) + tail)
+            break
+        except ValueError:  # str meets the int-to-str digit limit, which parsing relies on
+            pass
+    return texts
+
+
+def format_int(n: int) -> str:
+    """``str(n)``, also past the int-to-str digit limit, which stays in force for parsing."""
+    return str(Decimal(n))

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .polynomials import BivariatePoly
-from .rational import RationalParseError, format_key, parse_ratio
+from .rational import RationalParseError, format_keys, parse_ratio
 
 DEFAULT_MAX_PAIRS = 100_000_000
 
@@ -108,7 +108,7 @@ class RationalSet:
         return iter(self.elements)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(format_key(k, self.scale) for k in self.keys) + "}"
+        return "{" + ", ".join(format_keys(self.keys, self.scale)) + "}"
 
 
 def make_set(values: Iterable[Fraction | int]) -> RationalSet:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import typing
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -332,6 +333,22 @@ def test_bound_large_value_prints(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_values_past_the_digit_limit_print(tmp_path, capsys):
+    # 7^6000 has 5,071 digits: image and audit print it as bound prints its value,
+    # and the int-to-str limit stays in force for parsing.
+    path = tmp_path / "f.txt"
+    path.write_text("7\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["image", "--poly", "x^6000", "--set", str(path)], capsys)
+    assert (code, out, err) == (0, f"size = 1\nvalues = {{{Decimal(7**6000)}}}\n", "")
+    argv = ["audit", "--poly", "x^6000 + y", "--set", str(path), "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    table = json.loads(out)["subsum_audit"]["table"]
+    assert table == [{"value": str(Decimal(7**6000 + 7)), "clean": 1, "dirty": 0}]
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_bound_above_digit_cap_exit_3():
     # 160^77440000 has about 1.7e8 digits. The cap must refuse it from log10
     # alone; the child gets 2 s of CPU, far too little to build the integer,
@@ -528,7 +545,10 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     "case", [case for case in CASES if case["code"] in (0, 4)], ids=lambda case: case["id"]
 )
 def test_each_printed_value_is_rendered_once(case, tmp_path):
-    """str(f) runs only where f is printed, and a sweep formats no rational it does not print."""
+    """str(f) runs only where f is printed, and a sweep formats no rational it does not print.
+
+    image renders its values in one format_keys call, and a subsum audit makes one call
+    per list it prints; only structure calls format_key, for its one doubling."""
     argv = case["argv"]
     assert not any(arg.startswith(("--format=", "--poly=")) for arg in argv)
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
@@ -541,7 +561,9 @@ def test_each_printed_value_is_rendered_once(case, tmp_path):
         return wrapper
 
     with mock.patch.object(BivariatePoly, "__str__", counted("str", BivariatePoly.__str__)), \
-            mock.patch.object(cli, "format_rational", counted("format", cli.format_rational)):
+            mock.patch.object(cli, "format_rational", counted("format", cli.format_rational)), \
+            mock.patch.object(cli, "format_keys", counted("keys", cli.format_keys)), \
+            mock.patch.object(cli, "format_key", counted("key", cli.format_key)):
         code, out, _ = replay(argv, case["patch"], tmp_path)
     assert code == case["code"]
     sweep = argv[0] == "sweep"
@@ -550,3 +572,11 @@ def test_each_printed_value_is_rendered_once(case, tmp_path):
     if sweep:
         rows = len(json.loads(out)["rows"]) if fmt == "json" else 0
         assert calls["format"] == 2 * rows
+    command = None if "-h" in argv else argv[0]  # help runs no command
+    lists = 0  # high multiplicity, then bad values and the table where they are printed
+    if command == "image":
+        lists = 1
+    elif command == "audit" and "--set" in argv:
+        lists = 3 if fmt == "json" else 1 + ("full table" in out)
+    assert calls["keys"] == lists
+    assert calls["key"] == (command == "structure")

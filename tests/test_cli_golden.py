@@ -56,7 +56,10 @@ and once into a payload that only `--format json` prints.
 `image-shared-denominators-text` and `image-shared-denominators-json`
 (`x^2 - 2/3*x*y` on `{G}` x `{S}`: 120 pairs giving 0, integers, negatives
 and fractions over a few denominators) were recorded while each printed
-value still built the text of its own reduced denominator. A case with a `patch` wraps
+value still built the text of its own reduced denominator. `image-past-digit-limit-text`
+(`x^6000` on `{S}`, whose largest value has a 5,726-digit numerator) was
+recorded once values past the interpreter's int-to-str digit limit were
+printed instead of exiting 2. A case with a `patch` wraps
 one library call seen by the CLI so that it reports a falsified bound,
 which exercises the exit-4 output that correct code never reaches.
 

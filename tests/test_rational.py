@@ -1,4 +1,6 @@
+import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyexpand import RationalParseError, format_rational, parse_rational
-from polyexpand.rational import format_key, parse_ratio
+from polyexpand.rational import format_int, format_key, format_keys, parse_ratio
 
 
 def test_fractions_reduce():
@@ -128,3 +130,41 @@ def test_format_key_examples():
     assert format_key(-6, 4) == "-3/2"
     assert format_key(-8, 4) == "-2"
     assert format_key(7, 1) == "7"
+
+
+# A run of keys over one scale, as image and audit print them: zero, negatives, repeats
+# and multiples of the scale, and keys k * f over a scale holding every f, so that the
+# values reduce to a few shared denominators.
+runs = st.tuples(
+    st.lists(st.one_of(keys, st.integers(-40, 40)), max_size=12),
+    scales,
+    st.lists(st.one_of(commons, st.integers(1, 12)), min_size=1, max_size=4),
+)
+
+
+@given(runs)
+def test_format_keys_matches_format_rational(run):
+    values, scale, factors = run
+    scale *= math.prod(factors)
+    ks = values + [k * f for k in values for f in factors] + [k * scale for k in values] + values
+    texts = format_keys(ks, scale)
+    assert texts == [format_rational(Fraction(k, scale)) for k in ks]
+    assert texts == [str(Fraction(k, scale)) for k in ks]
+
+
+def test_format_keys_examples():
+    assert format_keys([], 6) == []
+    texts = ["0", "1/2", "-1", "2", "5/6", "1/2", "-2/3"]
+    assert format_keys([0, 3, -6, 12, 5, 3, -4], 6) == texts
+    assert format_keys((7, -7), 1) == ["7", "-7"]
+
+
+def test_format_keys_prints_past_the_digit_limit():
+    # 7^6000 has 5,071 digits; str stops at the interpreter's limit, which stays in force.
+    limit = sys.get_int_max_str_digits()
+    big = 7**6000
+    assert format_keys([big, -big, 3], 1) == [str(Decimal(big)), str(Decimal(-big)), "3"]
+    assert format_keys([big, 2], 4) == [str(Decimal(big)) + "/4", "1/2"]
+    assert format_keys([3, 1], 2 * big) == [f"3/{Decimal(2 * big)}", f"1/{Decimal(2 * big)}"]
+    assert format_key(-big * 14, 14) == format_int(-big) == str(Decimal(-big))
+    assert sys.get_int_max_str_digits() == limit
