@@ -59,16 +59,22 @@ and fractions over a few denominators) were recorded while each printed
 value still built the text of its own reduced denominator. `image-past-digit-limit-text`
 (`x^6000` on `{S}`, whose largest value has a 5,726-digit numerator) was
 recorded once values past the interpreter's int-to-str digit limit were
-printed instead of exiting 2. A case with a `patch` wraps
-one library call seen by the CLI so that it reports a falsified bound,
-which exercises the exit-4 output that correct code never reaches.
+printed instead of exiting 2. `image-past-digit-limit-json` (the same image
+under `--format json`) and `audit-bad-values-json` (the `bad_values` patch
+on `x^2*y - x*y^2 + 3*x - 3*y` over `{S}` with `--threshold 1`, which exits
+4 with a value of high multiplicity and three bad values) were recorded
+while `json.dumps` still encoded every printed list string by string. A
+case with a `patch` wraps one library call seen by the CLI so that it
+reports a falsified bound, which exercises the exit-4 output that correct
+code never reaches.
 
 New cases are appended, never rewritten, by the recorder in this file:
 
-    PYTHONPATH=src python tests/test_cli_golden.py --record ID -- ARGV...
+    PYTHONPATH=src python tests/test_cli_golden.py --record ID [--patch NAME] -- ARGV...
 
-It runs the CLI on ARGV, with the same set-file placeholders as the test,
-and appends the result under ID, which must be new. Every case, patched
+It runs the CLI on ARGV, with the same set-file placeholders as the test
+and the named entry of `PATCHES` applied, if any, and appends the result
+under ID, which must be new. Every case, patched
 ones included, also replays without pytest, on the standard library alone,
 so any interpreter the package supports can check the bytes:
 
@@ -104,6 +110,8 @@ PATCHES = {
     "inconsistent": ("audit_vanishing_subsums", lambda r: r._replace(consistent=False)),
     "not_injective": ("audit_injectivity", lambda r: False),
     "energy_fails": ("cauchy_schwarz_check", lambda r: r._replace(holds=False)),
+    "bad_values": ("audit_vanishing_subsums", lambda r: r._replace(
+        bad_values=tuple(k for k, _, _ in r.table[:3]), consistent=False)),
 }
 GOLDEN = Path(__file__).parent / "cli_golden.json"
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -162,15 +170,16 @@ def check() -> list[str]:
         ]
 
 
-def record(case_id: str, argv: list[str]) -> None:
-    """Run the CLI on argv and append the case to cli_golden.json."""
+def record(case_id: str, argv: list[str], patch: str | None = None) -> None:
+    """Run the CLI on argv, under the named patch if any, and append the case to
+    cli_golden.json."""
     if any(case["id"] == case_id for case in CASES):
         raise SystemExit(f"case {case_id!r} exists; golden cases are never rewritten")
     with tempfile.TemporaryDirectory() as directory:
-        code, out, err = replay(argv, None, Path(directory))
+        code, out, err = replay(argv, patch, Path(directory))
     dump = json.dumps
     entry = (
-        f' {{"id": {dump(case_id)}, "patch": null, "code": {code},\n'
+        f' {{"id": {dump(case_id)}, "patch": {dump(patch)}, "code": {code},\n'
         f'  "argv": {dump(argv)},\n'
         f'  "stdout": {dump(out)},\n'
         f'  "stderr": {dump(err)}}}'
@@ -180,12 +189,19 @@ def record(case_id: str, argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--check"]:
+    args = sys.argv[1:]
+    if args == ["--check"]:
         differ = check()
         print(f"{len(CASES) - len(differ)} of {len(CASES)} cases match")
         if differ:
             raise SystemExit("differ: " + " ".join(differ))
-    elif len(sys.argv) < 4 or sys.argv[1] != "--record" or sys.argv[3] != "--":
-        raise SystemExit("usage: test_cli_golden.py --check | --record ID -- ARGV...")
     else:
-        record(sys.argv[2], sys.argv[4:])
+        patch = None
+        if args[2:3] == ["--patch"]:
+            patch = args[3] if len(args) > 3 else ""
+            del args[2:4]
+        if len(args) < 3 or args[0] != "--record" or args[2] != "--" or patch not in (None, *PATCHES):
+            raise SystemExit(
+                "usage: test_cli_golden.py --check | --record ID [--patch NAME] -- ARGV..."
+            )
+        record(args[1], args[3:], patch)
