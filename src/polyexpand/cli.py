@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import UserString
 
 from .lab import (
     audit_injectivity,
@@ -85,6 +86,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+class JSONText(UserString):
+    """JSON text that main prints as it stands where a payload holds it."""
+
+
+def json_array(texts: list[str]) -> JSONText:
+    """json.dumps's text of rational texts, which hold only digits, "-" and "/"."""
+    return JSONText('["' + '", "'.join(texts) + '"]' if texts else "[]")
+
+
 # Each cmd_* takes the arguments and the parsed --poly (None without one) and returns
 # (exit code, JSON payload, text lines), formatting each value once. main prints the
 # payload, with the command and f added, for --format json and the lines otherwise;
@@ -129,7 +139,7 @@ def cmd_image(args: argparse.Namespace, f: BivariatePoly) -> Result:
     b = read_set_file(args.set2_path) if args.set2_path else a
     scale, keys = image_keys(f, a, b, args.max_pairs)
     values = format_keys(keys, scale)
-    payload = {"size": len(values), "values": values}
+    payload = {"size": len(values), "values": json_array(values)}
     lines = [f"size = {len(values)}", f"values = {{{', '.join(values)}}}"]
     return EXIT_OK, payload, lines
 
@@ -190,12 +200,14 @@ def cmd_audit(args: argparse.Namespace, f: BivariatePoly) -> Result:
         # Text prints no bad values, and the table only when the report is inconsistent.
         json_out = args.format == "json"
         bad = format_keys(report.bad_values, report.scale) if json_out else []
-        table = [
-            {"value": value, "clean": c, "dirty": d} for value, (_, c, d) in zip(
-                format_keys([k for k, _, _ in report.table], report.scale), report.table)
-        ] if json_out or not report.consistent else []
+        table = format_keys([k for k, _, _ in report.table], report.scale) \
+            if json_out or not report.consistent else []
         payload["subsum_audit"] = summary = {
-            **report._asdict(), "bad_values": bad, "high_multiplicity": high, "table": table
+            **report._asdict(), "bad_values": json_array(bad),
+            "high_multiplicity": json_array(high), "table": JSONText("[" + ", ".join([
+                f'{{"clean": {c}, "dirty": {d}, "value": "{value}"}}'
+                for value, (_, c, d) in zip(table, report.table)
+            ]) + "]"),
         }
         del summary["scale"]  # the values above are printed from their keys
         lines += [
@@ -211,16 +223,12 @@ def cmd_audit(args: argparse.Namespace, f: BivariatePoly) -> Result:
         if not report.consistent:
             exit_code = EXIT_INCONSISTENT
             lines.append("  full table (value clean dirty):")
-            lines += [f"    {row['value']} {row['clean']} {row['dirty']}" for row in table]
+            lines += [f"    {value} {c} {d}" for value, (_, c, d) in zip(table, report.table)]
 
     if args.ggp is not None:
         box = parse_ggp_spec(args.ggp)
         injective = audit_injectivity(f, box, args.t, max_pairs=args.max_pairs)
-        payload["injectivity_audit"] = {
-            "ggp": box.describe(),
-            "t": args.t,
-            "injective": injective,
-        }
+        payload["injectivity_audit"] = {"ggp": box.describe(), "t": args.t, "injective": injective}
         lines.append(
             f"injectivity audit on {box.describe()} (t = {args.t}): "
             f"{'injective' if injective else 'NOT injective'}"
@@ -286,12 +294,7 @@ def cmd_bound(args: argparse.Namespace, f: None) -> Result:
     bound = amoroso_viada_bound(args.n, args.r)
     value = format_int(bound.value)
     payload = {**bound._asdict(), "value": value}
-    lines = [
-        f"n = {bound.n}",
-        f"r = {bound.r}",
-        f"value = {value}",
-        f"log10 = {bound.log10:.6g}",
-    ]
+    lines = [f"n = {bound.n}", f"r = {bound.r}", f"value = {value}", f"log10 = {bound.log10:.6g}"]
     return EXIT_OK, payload, lines
 
 
@@ -328,7 +331,18 @@ def main(argv: list[str] | None = None) -> int:
             payload["command"] = args.command
             if f is not None:
                 payload["polynomial"] = str(f)
-            lines = [json.dumps(payload, sort_keys=True)]
+            # A JSONText is written as "\0" ("\u0000"), which no other printed string holds.
+            spliced: list[str] = []
+
+            def splice(value: object) -> str:
+                if not isinstance(value, JSONText):
+                    return json.JSONEncoder().default(value)  # raises json.dumps's TypeError
+                spliced.append(value.data)
+                return "\0"
+            lines = [json.dumps(payload, sort_keys=True, default=splice)]
+            if spliced:
+                head, *parts = lines[0].split('"\\u0000"')
+                lines[0] = head + "".join(map(str.__add__, spliced, parts))
         print("\n".join(lines))
         return code
     except CapExceeded as exc:

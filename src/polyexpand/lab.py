@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import comb
-from operator import sub
+from operator import mul, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -181,9 +181,9 @@ def audit_vanishing_subsums(
     dirty_bound = degree * degree * 2**support_size
     tau = dirty_bound if threshold is None else threshold
     values = sorted(totals)
-    dirties = list(map(dirty.get, values, repeat(0)))
-    table = tuple(zip(values, map(sub, map(totals.__getitem__, values), dirties), dirties))
-    bad = tuple(k for k, _, d in table if d > dirty_bound)
+    counts, dirties = list(map(totals.get, values)), list(map(dirty.get, values, repeat(0)))
+    table = tuple(zip(values, map(sub, counts, dirties), dirties))
+    bad = tuple(compress(values, map(dirty_bound.__lt__, dirties)))
     k_floor = max(1, productset_size(a, max_pairs) // len(a))
     return AuditReport(
         degree=degree,
@@ -196,7 +196,7 @@ def audit_vanishing_subsums(
         max_bad_values=degree + 1,
         consistent=len(bad) <= degree + 1,
         threshold=tau,
-        high_multiplicity=tuple(k for k, c, d in table if c + d > tau),
+        high_multiplicity=tuple(compress(values, map(tau.__lt__, counts))),
         theoretical_threshold_log10=bound_log10(comb(degree + 2, 2), k_floor),
         zero_value_full_sum_solutions=totals.get(0, 0) - dirty.get(0, 0),
     )
@@ -239,7 +239,7 @@ def cauchy_schwarz_check(
     """Verify energy >= |A|^4 / |f(A,A)| exactly (true for every input)."""
     _require_nonzero(f)
     counts = value_multiplicities(f, a, max_pairs)
-    e = sum(m * m for m in counts)
+    e = sum(map(mul, counts, counts))
     lower = Fraction(len(a) ** 4, len(counts))
     return EnergyCheck(energy=e, image_size=len(counts), lower_bound=lower, holds=e >= lower)
 

@@ -311,4 +311,5 @@ def energy(f: BivariatePoly, a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS)
 
     Computed as the sum of squared multiplicities, never by walking a^4.
     """
-    return sum(m * m for m in value_multiplicities(f, a, max_pairs))
+    counts = value_multiplicities(f, a, max_pairs)
+    return sum(map(mul, counts, counts))

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import random
 import subprocess
 import sys
+import tempfile
 import typing
 from collections import Counter
 from decimal import Decimal
@@ -11,13 +14,23 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyexpand
 from genutil import all_monomials, run_python_with_two_cpu_seconds
-from polyexpand import cli, structure
+from polyexpand import (
+    audit_vanishing_subsums,
+    classify_monomial_composition,
+    cli,
+    format_rational,
+    image_set,
+    read_set_file,
+    structure,
+)
 from polyexpand.cli import SWEEP_CSV_HEADER, main
 from polyexpand.polynomials import BivariatePoly
-from test_cli_golden import CASES, replay
+from test_cli_golden import CASES, canonical, replay
 
 
 def run_cli(argv, capsys):
@@ -347,6 +360,63 @@ def test_values_past_the_digit_limit_print(tmp_path, capsys):
     table = json.loads(out)["subsum_audit"]["table"]
     assert table == [{"value": str(Decimal(7**6000 + 7)), "clean": 1, "dirty": 0}]
     assert sys.get_int_max_str_digits() == limit
+
+
+# Set-file lines: integers, fractions written unreduced, zeros and decimals, with repeats.
+set_lines = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 6)),
+    st.sampled_from(["0", "-0", "0.5", "-1.25", "3/6"]),
+)
+set_texts = st.lists(set_lines, min_size=1, max_size=6).flatmap(
+    lambda lines: st.lists(st.sampled_from(lines), max_size=3).map(lines.__add__)
+)
+
+
+@st.composite
+def cli_polys(draw):
+    degree = draw(st.integers(1, 3))
+    triangle = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    support = draw(st.lists(st.sampled_from(triangle), min_size=1, max_size=4, unique=True))
+    coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+    return BivariatePoly({pair: draw(coefficients) for pair in support})
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_polys(), set_texts, st.one_of(st.none(), st.integers(0, 3)))
+def test_json_lists_are_canonical_and_exact(f, lines, threshold):
+    """image's values and the audit's lists and table, written as joined text, print what
+    json.dumps prints for them, and the values the library computes."""
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--format", "json"])
+        return code, out.getvalue()
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "a.txt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        a = read_set_file(path)
+        code, out = run(["image", "--poly", str(f), "--set", str(path)])
+        assert (code, out) == (0, canonical(out))
+        assert json.loads(out)["values"] == list(map(format_rational, image_set(f, a).elements))
+        if classify_monomial_composition(f) is not None:
+            return  # the subsum audit refuses g(x^a y^b)
+        tau = [] if threshold is None else ["--threshold", str(threshold)]
+        code, out = run(["audit", "--poly", str(f), "--set", str(path)] + tau)
+    assert (code, out) == (0, canonical(out))
+    report = audit_vanishing_subsums(f, a, threshold)
+
+    def texts(keys):
+        return [format_rational(Fraction(k, report.scale)) for k in keys]
+
+    audit = json.loads(out)["subsum_audit"]
+    assert audit["table"] == [
+        {"value": value, "clean": c, "dirty": d}
+        for value, (_, c, d) in zip(texts(k for k, _, _ in report.table), report.table)
+    ]
+    assert audit["bad_values"] == texts(report.bad_values)
+    assert audit["high_multiplicity"] == texts(report.high_multiplicity)
 
 
 def test_bound_above_digit_cap_exit_3():

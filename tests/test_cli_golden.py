@@ -81,6 +81,9 @@ so any interpreter the package supports can check the bytes:
     PYTHONPATH=src python tests/test_cli_golden.py --check
 
 It prints the number of cases and exits non-zero with the ids that differ.
+Both the test and `--check` also hold every case that prints JSON (`--format
+json`, exit 0 or 4) to the text `json.dumps(..., sort_keys=True)` gives for
+what it printed, since the CLI writes its longest lists as joined text.
 """
 
 import contextlib
@@ -155,19 +158,35 @@ def pytest_generate_tests(metafunc):
     metafunc.parametrize("case", CASES, ids=[case["id"] for case in CASES])
 
 
+def prints_json(case: dict) -> bool:
+    """Whether the case prints a JSON line: it asks for --format json and exits 0 or 4."""
+    argv = case["argv"]
+    return case["code"] in (0, 4) and ("--format", "json") in zip(argv, argv[1:])
+
+
+def canonical(out: str) -> str:
+    """The JSON line out as json.dumps(..., sort_keys=True) prints what it holds."""
+    return json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 def test_cli_bytes(case, tmp_path):
-    got = replay(case["argv"], case["patch"], tmp_path)
-    assert got == (case["code"], case["stdout"], case["stderr"])
+    code, out, err = replay(case["argv"], case["patch"], tmp_path)
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+    if prints_json(case):
+        assert out == canonical(out)
 
 
 def check() -> list[str]:
-    """Replay every case; return the ids whose output differs from the recorded one."""
+    """Replay every case; return the ids whose output differs from the recorded one or,
+    for a case that prints JSON, from its canonical text."""
+    differ = []
     with tempfile.TemporaryDirectory() as directory:
-        return [
-            case["id"] for case in CASES
-            if replay(case["argv"], case["patch"], Path(directory))
-            != (case["code"], case["stdout"], case["stderr"])
-        ]
+        for case in CASES:
+            got = replay(case["argv"], case["patch"], Path(directory))
+            if got != (case["code"], case["stdout"], case["stderr"]) or (
+                    prints_json(case) and got[1] != canonical(got[1])):
+                differ.append(case["id"])
+    return differ
 
 
 def record(case_id: str, argv: list[str], patch: str | None = None) -> None:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -150,6 +151,8 @@ def test_format_keys_matches_format_rational(run):
     texts = format_keys(ks, scale)
     assert texts == [format_rational(Fraction(k, scale)) for k in ks]
     assert texts == [str(Fraction(k, scale)) for k in ks]
+    # The CLI writes these texts into JSON unescaped, as their own string bodies.
+    assert all(re.match(r"-?\d+(/\d+)?\Z", text) for text in texts)
 
 
 def test_format_keys_examples():
@@ -167,4 +170,6 @@ def test_format_keys_prints_past_the_digit_limit():
     assert format_keys([big, 2], 4) == [str(Decimal(big)) + "/4", "1/2"]
     assert format_keys([3, 1], 2 * big) == [f"3/{Decimal(2 * big)}", f"1/{Decimal(2 * big)}"]
     assert format_key(-big * 14, 14) == format_int(-big) == str(Decimal(-big))
+    texts = format_keys([big, -big, 3, 2 * big + 1], 2 * big)
+    assert all(re.match(r"-?\d+(/\d+)?\Z", text) for text in texts)
     assert sys.get_int_max_str_digits() == limit
