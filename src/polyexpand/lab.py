@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import comb
-from operator import mul, sub
+from operator import lt, mul, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -183,7 +183,7 @@ def audit_vanishing_subsums(
     values = sorted(totals)
     counts, dirties = list(map(totals.get, values)), list(map(dirty.get, values, repeat(0)))
     table = tuple(zip(values, map(sub, counts, dirties), dirties))
-    bad = tuple(compress(values, map(dirty_bound.__lt__, dirties)))
+    bad = tuple(compress(values, map(lt, repeat(dirty_bound), dirties)))
     k_floor = max(1, productset_size(a, max_pairs) // len(a))
     return AuditReport(
         degree=degree,
@@ -196,7 +196,7 @@ def audit_vanishing_subsums(
         max_bad_values=degree + 1,
         consistent=len(bad) <= degree + 1,
         threshold=tau,
-        high_multiplicity=tuple(compress(values, map(tau.__lt__, counts))),
+        high_multiplicity=tuple(compress(values, map(lt, repeat(tau), counts))),
         theoretical_threshold_log10=bound_log10(comb(degree + 2, 2), k_floor),
         zero_value_full_sum_solutions=totals.get(0, 0) - dirty.get(0, 0),
     )
