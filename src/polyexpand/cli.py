@@ -91,7 +91,7 @@ class JSONText(UserString):
 
 
 def json_array(texts: list[str]) -> JSONText:
-    """json.dumps's text of rational texts, which hold only digits, "-" and "/"."""
+    """The JSON array json.dumps writes for rational texts: they hold only digits, - and /."""
     return JSONText('["' + '", "'.join(texts) + '"]' if texts else "[]")
 
 

@@ -584,6 +584,10 @@ def test_type_error_is_not_a_usage_error(set_file, monkeypatch):
     monkeypatch.setattr(polyexpand.cli, "cmd_structure", broken)
     with pytest.raises(TypeError, match="defect"):
         main(["structure", "--set", set_file])
+    # json.dumps's hook passes on only the JSON texts it splices in.
+    monkeypatch.setattr(polyexpand.cli, "cmd_structure", lambda args, f: (0, {"x": object()}, []))
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        main(["structure", "--set", set_file, "--format", "json"])
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
