@@ -63,8 +63,14 @@ printed instead of exiting 2. `image-past-digit-limit-json` (the same image
 under `--format json`) and `audit-bad-values-json` (the `bad_values` patch
 on `x^2*y - x*y^2 + 3*x - 3*y` over `{S}` with `--threshold 1`, which exits
 4 with a value of high multiplicity and three bad values) were recorded
-while `json.dumps` still encoded every printed list string by string. A
-case with a `patch` wraps one library call seen by the CLI so that it
+while `json.dumps` still encoded every printed list string by string.
+`image-pure-y-set2-*` (`y^3 - 2*y + 5` on `{A}` x `{S}`), `image-constant-text`
+and `energy-constant-*`, `sweep-few-x-powers-*` (`x*y^2 + y^3 - x + 2*y`,
+with fewer powers of x than of y, on `geometric:3/2` and on a `ggp:` ladder
+with unsorted sizes) and `audit-mixed-columns-*` (`x^2 + x*y - 3*y + 1`,
+with pure-x, pure-y, mixed and constant terms, on `{A}`) were recorded
+while the pair kernel still multiplied every column at every pair and
+always grouped f's terms by powers of y. A case with a `patch` wraps one library call seen by the CLI so that it
 reports a falsified bound, which exercises the exit-4 output that correct
 code never reaches.
 
