@@ -98,7 +98,7 @@ def json_array(texts: list[str]) -> JSONText:
 # Each cmd_* takes the arguments and the parsed --poly (None without one) and returns
 # (exit code, JSON payload, text lines), formatting each value once. main prints the
 # payload, with the command and f added, for --format json and the lines otherwise;
-# sweep builds only the one that its format prints.
+# image and sweep build only the one that their format prints.
 Result = tuple[int, dict, list[str]]
 
 
@@ -139,9 +139,9 @@ def cmd_image(args: argparse.Namespace, f: BivariatePoly) -> Result:
     b = read_set_file(args.set2_path) if args.set2_path else a
     scale, keys = image_keys(f, a, b, args.max_pairs)
     values = format_keys(keys, scale)
-    payload = {"size": len(values), "values": json_array(values)}
-    lines = [f"size = {len(values)}", f"values = {{{', '.join(values)}}}"]
-    return EXIT_OK, payload, lines
+    if args.format == "json":
+        return EXIT_OK, {"size": len(values), "values": json_array(values)}, []
+    return EXIT_OK, {}, [f"size = {len(values)}", f"values = {{{', '.join(values)}}}"]
 
 
 def cmd_energy(args: argparse.Namespace, f: BivariatePoly) -> Result:

@@ -6,7 +6,9 @@ denominators: its values are k/scale, and Fractions are built only on demand
 histograms, polynomial energies and sweep ladders all walk the pair space
 through one integer kernel: ``_clear`` reads f over one scale, ``_columns``
 prepares each term column of the int keys scale*f(x, y), scale > 0, once, and
-``_rows`` streams it over an x-range and a y-range through C-level iterators.
+``_rows`` streams it over an x-range and a y-range through C-level iterators; only
+a column of both x and y multiplies per pair, and a walk that merges f's terms by
+powers of y takes f or its transpose, whichever has fewer such columns.
 ``ladder_sizes`` counts |AA| and |f(A,A)|, preparing nested sets once and walking
 shells of new pairs as slices (a symmetric f skips mirrored ones); ``_key_counts``
 keeps multiplicities. Dedup, counts, energies, sort order and vanishing subsums are
@@ -18,7 +20,7 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from itertools import pairwise, product, starmap
+from itertools import chain, pairwise, product, repeat, starmap
 from math import gcd, isqrt, lcm
 from operator import add, lt, mul
 from pathlib import Path
@@ -162,23 +164,37 @@ def _clear(f: BivariatePoly, d: int) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 def _columns(
-    cleared: list[tuple[int, int, int]], xs: Collection[int], ys: Collection[int], merge: bool
-) -> list[tuple[list[int], list[int]]]:
-    """The kernel's one-time preparation: per group of f's terms, the group's coefficient
-    sum of C*X^i over xs and its power Y^j over ys. With merge, a group is a power of Y."""
+    cleared: list[tuple[int, int, int]], xs: list[int], ys: list[int], merge: bool
+) -> list[tuple[str, list[int], list[int]]]:
+    """The kernel's one-time preparation: per group of f's terms, its kind and two lists.
+
+    Kind "x" is the group of Y^0: its coefficient sum of C*X^i over xs, and Y^0 over ys.
+    Kind "y" is a lone C*Y^j, j > 0: xs, and C*Y^j over ys. Kind "xy" is any other: the
+    sum, and Y^j over ys. With merge, a group is a power of Y, and f's terms are transposed
+    (C, i, j) -> (C, j, i), with xs and ys swapped, if that leaves fewer "xy" groups (ties:
+    fewer groups): f^T(y, x) = f(x, y) keeps the values and their counts."""
+    cost = [(len({k[t] for k in cleared if k[1] and k[2]}), len({k[t] for k in cleared}))
+            for t in (1, 2)]  # grouped by powers of X (t = 1), then of Y (t = 2)
+    if merge and cost[0] < cost[1]:
+        cleared, xs, ys = [(c, j, i) for c, i, j in cleared], ys, xs
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for c, i, j in cleared:
         groups.setdefault((j,) if merge else (i, j), []).append((c, i))
     y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
-    return [(list(map(sum, zip(*[[c * x**i for x in xs] for c, i in ts]))), y_pows[key[-1]])
-            for key, ts in groups.items()]
+    return [("y", xs, [ts[0][0] * p for p in y_pows[j]]) if j and not any(i for _, i in ts)
+            else ("xy" if j else "x", list(map(sum, zip(*[[c * x**i for x in xs] for c, i in ts]))),
+                  y_pows[j])
+            for (*_, j), ts in groups.items()]
 
 
-def _rows(columns: list[tuple[list[int], list[int]]], xr: slice = slice(None),
+def _rows(columns: list[tuple[str, list[int], list[int]]], xr: slice = slice(None),
           yr: slice = slice(None)) -> list[Iterator[int]]:
     """The kernel's stream: each prepared column over the x-range xr x the y-range yr,
-    x-major, a value per pair and no Python code run per pair; ``_keys`` adds them."""
-    return [starmap(mul, product(cx[xr], py[yr])) for cx, py in columns]
+    x-major, a value per pair and no Python code run per pair; ``_keys`` adds them. Only
+    "xy" multiplies per pair; "x" repeats each value over yr and "y" its row over xr."""
+    return [starmap(mul, product(cx[xr], py[yr])) if kind == "xy" else
+            chain.from_iterable(map(repeat, cx[xr], repeat(len(py[yr])))) if kind == "x" else
+            chain.from_iterable(repeat(py[yr], len(cx[xr]))) for kind, cx, py in columns]
 
 
 def _pair_rows(
@@ -262,9 +278,10 @@ def doubling_ratio(a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> Fracti
 def image_keys(
     f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int
 ) -> tuple[int, list[int]]:
-    """The scale and the ascending distinct int keys of f over a x b: f(a, b) is key/scale."""
-    scale, counts = _key_counts(f, a, b, max_pairs, "image enumeration")
-    return scale, sorted(counts)
+    """The scale and the ascending distinct int keys of f over a x b: f(a, b) is key/scale.
+    A dict collects them, keeping the x-major runs of the walk, which speed the sort."""
+    scale, columns = _pair_rows(f, a, b, max_pairs, "image enumeration", merge=True)
+    return scale, sorted(dict.fromkeys(_keys(columns)))
 
 
 def image_set(

@@ -411,7 +411,7 @@ def test_nested_ladder_walks_only_the_largest_pairs(tmp_path, monkeypatch):
     rows = sets_module._rows
 
     def counting_rows(columns, xr=slice(None), yr=slice(None)):
-        coefficients, powers = columns[0]
+        _, coefficients, powers = columns[0]
         walked.append(len(coefficients[xr]) * len(powers[yr]))
         return rows(columns, xr, yr)
 
