@@ -70,7 +70,13 @@ with fewer powers of x than of y, on `geometric:3/2` and on a `ggp:` ladder
 with unsorted sizes) and `audit-mixed-columns-*` (`x^2 + x*y - 3*y + 1`,
 with pure-x, pure-y, mixed and constant terms, on `{A}`) were recorded
 while the pair kernel still multiplied every column at every pair and
-always grouped f's terms by powers of y. A case with a `patch` wraps one library call seen by the CLI so that it
+always grouped f's terms by powers of y. `{P}` holds 20 values `p/2^m`
+with `m` up to 20, 0 and negatives among them, and `{Q}` is `{P}` with
+`1/3^19` added. `image-two-adic-*` and `audit-two-adic-json` (`x^2 -
+1/3*x*y` on `{P}`, over the scale `3*2^40`, with zero and negative
+values) and `image-two-adic-odd-*` (the same on `{Q}`, whose scale's odd
+part `3^39` is wider than one 30-bit int digit) were recorded while every
+printed value still took its gcd with the full scale. A case with a `patch` wraps one library call seen by the CLI so that it
 reports a falsified bound, which exercises the exit-4 output that correct
 code never reaches.
 
@@ -114,7 +120,13 @@ SETS = {
         "1", "2", "3", "6", "1/2", "3/2", "1/3", "2/3", "3/4", "4",
         "5", "7", "9", "1/5", "5/3", "12", "1/4", "3/5", "8", "10",
     )),
+    "P": "".join(f"{v}\n" for v in (
+        "0", "1", "-1", "3", "1/2", "-3/2", "1/4", "3/4", "-5/8", "7/16",
+        "1/32", "3/32", "-9/64", "11/128", "5/256", "-13/512", "1/1024", "3/4096",
+        "-17/65536", "1/1048576",
+    )),
 }
+SETS["Q"] = SETS["P"] + "1/1162261467\n"
 PATCHES = {
     "inconsistent": ("audit_vanishing_subsums", lambda r: r._replace(consistent=False)),
     "not_injective": ("audit_injectivity", lambda r: False),
