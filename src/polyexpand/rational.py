@@ -57,12 +57,18 @@ def format_key(key: int, scale: int) -> str:
 
 def format_keys(keys: Sequence[int], scale: int) -> list[str]:
     """The texts of ``Fraction(k, scale)`` for keys over one ``scale > 0``, built with no
-    Fraction: each key has its own gcd, and each reduced denominator's text is built once."""
+    Fraction: each key has its own gcd, and each reduced denominator's text is built once.
+    Where ``scale = odd * low``, ``low`` a power of two past one 30-bit int digit and ``odd``
+    within one, a nonzero key's gcd is ``gcd(k, odd) * min(k & -k, low)``: exact, as ``low``
+    and ``odd`` are coprime, and cheap, as a gcd with one digit takes CPython's short path."""
+    low = scale & -scale
+    odd = scale // low
+    split = low > 2**30 and odd < 2**30
     for text in str, format_int:  # format_int only for a run with a text past the digit limit
         tails, texts = {scale: ""}, []  # the text "/q" by g = gcd(k, scale), q = scale // g
         try:
             for k in keys:
-                g = gcd(k, scale)
+                g = gcd(k, odd) * min(k & -k, low) if split and k else gcd(k, scale)
                 tail = tails.get(g)
                 if tail is None:
                     tail = tails[g] = "/" + text(scale // g)

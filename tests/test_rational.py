@@ -5,10 +5,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polyexpand import RationalParseError, format_rational, parse_rational
+from polyexpand import RationalParseError, format_rational, parse_rational, rational
 from polyexpand.rational import format_int, format_key, format_keys, parse_ratio
 
 
@@ -173,3 +173,59 @@ def test_format_keys_prints_past_the_digit_limit():
     texts = format_keys([big, -big, 3, 2 * big + 1], 2 * big)
     assert all(re.match(r"-?\d+(/\d+)?\Z", text) for text in texts)
     assert sys.get_int_max_str_digits() == limit
+
+
+def fraction_text(key, scale):
+    """str(Fraction(key, scale)), or past the int-to-str digit limit the format_int texts
+    of its numerator and denominator."""
+    q = Fraction(key, scale)
+    try:
+        return str(q)
+    except ValueError:
+        return format_int(q.numerator) + ("/" + format_int(q.denominator)) * (q.denominator > 1)
+
+
+# Scales 2**a * o on both sides of the split in format_keys (a power of two past one 30-bit
+# int digit, an odd part within one): keys 0, negatives, multiples of 2**b for b below, at
+# and above a, multiples of o, and keys past the int-to-str digit limit.
+odds = st.one_of(st.sampled_from([1, 3, 2**30 - 1, 2**30 + 1]),
+                 st.integers(0, 2**69 - 1).map(lambda n: 2 * n + 1))
+
+
+@st.composite
+def two_adic_runs(draw):
+    a, o = draw(st.integers(0, 400)), draw(odds)
+    shifts = st.one_of(st.integers(0, 450), st.integers(-3, 3).map(lambda d: max(0, a + d)))
+    key = st.builds(lambda m, f, b: m * f << b, st.integers(-(2**80), 2**80),
+                    st.sampled_from([1, o, 7**6000]), shifts)
+    return draw(st.lists(st.one_of(st.just(0), key), max_size=10)), o << a
+
+
+EDGE_KEYS = [0, 3, -7, 2**29, -(2**31), 5 << 45, (2**30 - 1) << 31, -3 * (2**30 + 1) << 20,
+             (2**30 + 1) << 40, 7**6000 << 31, -(7**6000)]
+
+
+@given(two_adic_runs())
+@example((EDGE_KEYS, 2**30))
+@example((EDGE_KEYS, 2**31))
+@example((EDGE_KEYS, 2**31 * (2**30 - 1)))
+@example((EDGE_KEYS, 2**31 * (2**30 + 1)))
+def test_format_keys_matches_fraction_over_two_adic_scales(run):
+    keys, scale = run
+    assert format_keys(keys, scale) == [fraction_text(k, scale) for k in keys]
+
+
+@pytest.mark.parametrize("scale, full", [(3 * 2**200, 0), (3**200, 2000)],
+                         ids=["3*2**200", "3**200"])
+def test_format_keys_takes_the_full_gcd_only_where_the_odd_part_is_wide(monkeypatch, scale, full):
+    # A scale whose odd part fits in one int digit never meets a gcd with the full scale.
+    calls = []
+
+    def counted(a, b):
+        calls.append(scale in (a, b))
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(rational, "gcd", counted)
+    keys = [(-1) ** i * (i + 1) << i % 300 for i in range(2000)]
+    assert format_keys(keys, scale) == [str(Fraction(k, scale)) for k in keys]
+    assert sum(calls) == full
