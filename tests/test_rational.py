@@ -182,7 +182,8 @@ def fraction_text(key, scale):
     try:
         return str(q)
     except ValueError:
-        return format_int(q.numerator) + ("/" + format_int(q.denominator)) * (q.denominator > 1)
+        n, d = format_int(q.numerator), format_int(q.denominator)
+        return n if q.denominator == 1 else f"{n}/{d}"
 
 
 # Scales 2**a * o on both sides of the split in format_keys (a power of two past one 30-bit
