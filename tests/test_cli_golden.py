@@ -76,7 +76,12 @@ with `m` up to 20, 0 and negatives among them, and `{Q}` is `{P}` with
 1/3*x*y` on `{P}`, over the scale `3*2^40`, with zero and negative
 values) and `image-two-adic-odd-*` (the same on `{Q}`, whose scale's odd
 part `3^39` is wider than one 30-bit int digit) were recorded while every
-printed value still took its gcd with the full scale. A case with a `patch` wraps one library call seen by the CLI so that it
+printed value still took its gcd with the full scale. `{N}` holds the
+integers 1..9. `audit-heavy-differences-text` and `-json` (`x - y` on
+`{N}`, where 0 and the small differences have more pairs than the dirty
+bound) and `audit-heavy-sums-text` (`x + y` on `{N}` with `--threshold
+5`) were recorded while a text audit still ran the subsum check on every
+pair. A case with a `patch` wraps one library call seen by the CLI so that it
 reports a falsified bound, which exercises the exit-4 output that correct
 code never reaches.
 
@@ -127,6 +132,7 @@ SETS = {
     )),
 }
 SETS["Q"] = SETS["P"] + "1/1162261467\n"
+SETS["N"] = "".join(f"{v}\n" for v in range(1, 10))
 PATCHES = {
     "inconsistent": ("audit_vanishing_subsums", lambda r: r._replace(consistent=False)),
     "not_injective": ("audit_injectivity", lambda r: False),
