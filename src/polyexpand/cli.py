@@ -195,10 +195,13 @@ def cmd_audit(args: argparse.Namespace, f: BivariatePoly) -> Result:
 
     if args.set_path is not None:
         a = read_set_file(args.set_path)
-        report = audit_vanishing_subsums(f, a, args.threshold, max_pairs=args.max_pairs)
-        high = format_keys(report.high_multiplicity, report.scale)
         # Text prints no bad values, and the table only when the report is inconsistent.
         json_out = args.format == "json"
+        report = audit_vanishing_subsums(
+            f, a, args.threshold, max_pairs=args.max_pairs, full_table=json_out)
+        if not report.consistent and not json_out:
+            report = audit_vanishing_subsums(f, a, args.threshold, max_pairs=args.max_pairs)
+        high = format_keys(report.high_multiplicity, report.scale)
         bad = format_keys(report.bad_values, report.scale) if json_out else []
         table = format_keys([k for k, _, _ in report.table], report.scale) \
             if json_out or not report.consistent else []

@@ -153,36 +153,49 @@ def audit_vanishing_subsums(
     a: RationalSet,
     threshold: int | None = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
+    *,
+    full_table: bool = True,
 ) -> AuditReport:
     """Tabulate clean/dirty splits for every image value and audit the bound.
 
     The audited claim: at most degree + 1 values may have a dirty count
     above degree^2 * 2^|support|. A report with consistent=False would
     falsify a guaranteed bound, i.e. expose a defect in this code.
+    With full_table=False the table holds only the values with more pairs than the
+    dirty bound, and 0: no other value can be bad, and every other field is the same.
     """
     _require_non_exceptional(f)
     check_budget(len(f.support), MAX_SUBSUM_SUPPORT, "subsum audit", "terms", None)
     # Term values and their sums are ints scaled by the same scale > 0, so
     # vanishing subsums, equal values and the value order are all exact.
-    scale, streams = _pair_rows(f, a, a, max_pairs, "subsum audit")
+    scale, streams = _pair_rows(f, a, a, max_pairs, "subsum audit", merge=not full_table)
     support_size = len(f.support)
     # Each pair's meet in the middle builds up to 2^ceil(m/2) subset sums.
     sums = len(a) ** 2 * 2 ** ((support_size + 1) // 2)
     check_budget(sums, max_pairs, "subsum audit", "subset sums")
-    # Pairs per key, all and dirty, a block of rows cut from the streams; key 0 is the value 0.
-    totals, dirty = Counter(), Counter()
-    rows = max(1, AUDIT_BLOCK_PAIRS // len(a))
-    for _ in range(0, len(a), rows):
-        columns = [list(islice(s, rows * len(a))) for s in streams]
-        keys = list(_keys(columns))
-        totals.update(keys)
-        dirty.update(compress(keys, zero_proper_subset_flags(columns)))
     degree = f.degree
     dirty_bound = degree * degree * 2**support_size
+    # Pairs per key, all and dirty, a block of rows cut from the streams; key 0 is the value 0.
+    # Without the full table a merged walk counts first; only the keys in checked are checked.
+    totals, dirty = Counter() if full_table else Counter(_keys(streams)), Counter()
+    checked = {k for k, n in totals.items() if n > dirty_bound or not k}
+    if checked:  # the check needs one column per term, which a merged walk does not keep
+        streams = _pair_rows(f, a, a, max_pairs, "subsum audit")[1]
+    rows = max(1, AUDIT_BLOCK_PAIRS // len(a))
+    for _ in range(0, len(a), rows) if full_table or checked else ():
+        columns = [list(islice(s, rows * len(a))) for s in streams]
+        keys = list(_keys(columns))
+        if full_table:
+            totals.update(keys)
+        else:
+            keep = list(map(checked.__contains__, keys))
+            keys, columns = list(compress(keys, keep)), [list(compress(c, keep)) for c in columns]
+        dirty.update(compress(keys, zero_proper_subset_flags(columns)))
     tau = dirty_bound if threshold is None else threshold
     values = sorted(totals)
     counts, dirties = list(map(totals.get, values)), list(map(dirty.get, values, repeat(0)))
-    table = tuple(zip(values, map(sub, counts, dirties), dirties))
+    table = zip(values, map(sub, counts, dirties), dirties)
+    table = tuple(table if full_table else compress(table, map(checked.__contains__, values)))
     bad = tuple(compress(values, map(lt, repeat(dirty_bound), dirties)))
     k_floor = max(1, productset_size(a, max_pairs) // len(a))
     return AuditReport(

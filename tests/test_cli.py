@@ -25,6 +25,7 @@ from polyexpand import (
     cli,
     format_rational,
     image_set,
+    lab,
     read_set_file,
     structure,
 )
@@ -135,6 +136,24 @@ def test_audit_json_schema(capsys, set_file):
     assert audit["consistent"] is True
     assert audit["pairs"] == 9
     assert {"value", "clean", "dirty"} <= set(audit["table"][0])
+
+
+def test_text_audit_checks_no_pair_when_no_value_can_be_bad(capsys, tmp_path):
+    # 6 terms of degree 4 bound the dirty pairs of a value by 16 * 2^6 = 1,024, more than
+    # the 784 pairs, and f > 0 on the set: text checks no pair, JSON tabulates and checks all.
+    path = tmp_path / "geometric.txt"
+    path.write_text("".join(f"{Fraction(3, 2) ** k}\n" for k in range(1, 29)), encoding="utf-8")
+    argv = ["audit", "--poly", "x^3*y - x*y^3 + x^2*y - x*y^2 + x^4 + y^4", "--set", str(path)]
+    original, received = lab.zero_proper_subset_flags, []
+    with mock.patch.object(lab, "zero_proper_subset_flags",
+                           lambda columns: received.append(len(columns[0])) or original(columns)):
+        code, out, _ = run_cli(argv, capsys)
+        text_pairs = sum(received)
+        json_code, json_out, _ = run_cli([*argv, "--format", "json"], capsys)
+    table = json.loads(json_out)["subsum_audit"]["table"]
+    assert (code, json_code) == (0, 0) and "consistent = true" in out
+    assert all(row["value"] != "0" for row in table) and any(row["dirty"] for row in table)
+    assert (text_pairs, sum(received) - text_pairs) == (0, 784)
 
 
 def test_audit_injectivity(capsys):

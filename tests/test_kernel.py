@@ -115,16 +115,24 @@ PAIRED_TERMS = parse_poly("x^2*y - x*y^2 + 3*x - 3*y")  # its terms cancel in pa
 @given(non_exceptional_polys(max_terms=6), sets, audit_blocks)
 @example(PAIRED_TERMS, make_set([1, -1, 3, -3, 2]), 1)
 @example(PAIRED_TERMS, make_set([1, -1, 3, -3, 2]), 10)
+@example(SUM, make_set(range(1, 8)), 10)  # sums 6..10 have more than 4 pairs
+@example(parse_poly("x - y"), make_set(range(1, 8)), lab.AUDIT_BLOCK_PAIRS)  # so has 0
 def test_audit_table_matches_reference(f, a, block_pairs):
     assert non_exceptional(f)
     # patch.object, not monkeypatch: a function-scoped fixture is refused under @given.
     with mock.patch.object(lab, "AUDIT_BLOCK_PAIRS", block_pairs):
         report = audit_vanishing_subsums(f, a)
+        short = audit_vanishing_subsums(f, a, full_table=False)
     table, zero_full_sum = reference.audit_table(f, a)
     assert [(Fraction(k, report.scale), c, d) for k, c, d in report.table] == table
     assert report.zero_value_full_sum_solutions == zero_full_sum
     assert report.pairs == len(a) ** 2
     assert sum(c + d for _, c, d in report.table) == len(a) ** 2
+    # Without the full table only the rows that could be bad, and the row of 0, are kept.
+    assert short._replace(table=report.table) == report
+    assert short.table == tuple(
+        row for row in report.table if row[0] == 0 or row[1] + row[2] > report.dirty_bound
+    )
 
 
 boxes = st.builds(
