@@ -81,8 +81,12 @@ integers 1..9. `audit-heavy-differences-text` and `-json` (`x - y` on
 `{N}`, where 0 and the small differences have more pairs than the dirty
 bound) and `audit-heavy-sums-text` (`x + y` on `{N}` with `--threshold
 5`) were recorded while a text audit still ran the subsum check on every
-pair. A case with a `patch` wraps one library call seen by the CLI so that it
-reports a falsified bound, which exercises the exit-4 output that correct
+pair. `{Ä}` holds 1, 2 and 4, under a file name with a non-ASCII letter:
+`sweep-non-ascii-file-text` and `-json` (`x^2 + 3*y` over `files:{Ä},{S}`)
+pin the `\\u00c4` escape of that name in the family's description, and were
+recorded while `--format json` still cut prebuilt JSON texts back into the
+line `json.dumps` printed. A case with a `patch` wraps one library call seen
+by the CLI so that it reports a falsified bound, which exercises the exit-4 output that correct
 code never reaches.
 
 New cases are appended, never rewritten, by the recorder in this file:
@@ -133,6 +137,7 @@ SETS = {
 }
 SETS["Q"] = SETS["P"] + "1/1162261467\n"
 SETS["N"] = "".join(f"{v}\n" for v in range(1, 10))
+SETS["Ä"] = "1\n2\n4\n"
 PATCHES = {
     "inconsistent": ("audit_vanishing_subsums", lambda r: r._replace(consistent=False)),
     "not_injective": ("audit_injectivity", lambda r: False),
