@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 2 usage or input errors (with parse positions where
-available), 3 enumeration budget exceeded, 4 audit inconsistency (a result
-that would falsify a guaranteed bound).
+available), 3 enumeration budget exceeded or out of memory, 4 audit
+inconsistency (a result that would falsify a guaranteed bound).
 
 Output is deterministic: identical inputs produce byte-identical output in
 every format.
@@ -87,7 +87,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 class JSONText(UserString):
-    """JSON text that main prints as it stands where a payload holds it."""
+    """JSON text that json_text writes as it stands where a dict of the payload holds it."""
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # one encoder: dumps builds one per call
+
+
+def json_text(value: object) -> str:
+    """json.dumps(value, sort_keys=True)'s text, with each JSONText in a dict as it stands."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ", ".join(f"{_encode(k)}: {json_text(v)}" for k, v in items) + "}"
+    return value.data if isinstance(value, JSONText) else _encode(value)
 
 
 def json_array(texts: list[str]) -> JSONText:
@@ -334,22 +345,11 @@ def main(argv: list[str] | None = None) -> int:
             payload["command"] = args.command
             if f is not None:
                 payload["polynomial"] = str(f)
-            # A JSONText is written as "\0" ("\u0000"), which no other printed string holds.
-            spliced: list[str] = []
-
-            def splice(value: object) -> str:
-                if not isinstance(value, JSONText):
-                    return json.JSONEncoder().default(value)  # raises json.dumps's TypeError
-                spliced.append(value.data)
-                return "\0"
-            lines = [json.dumps(payload, sort_keys=True, default=splice)]
-            if spliced:
-                head, *parts = lines[0].split('"\\u0000"')
-                lines[0] = head + "".join(map(str.__add__, spliced, parts))
+            lines = [json_text(payload)]
         print("\n".join(lines))
         return code
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:  # running out of memory is a budget no cap held
+        print("error:", "out of memory" if isinstance(exc, MemoryError) else exc, file=sys.stderr)
         return EXIT_CAP
     except (OSError, ValueError) as exc:  # parse, precondition and file errors
         print(f"error: {exc}", file=sys.stderr)

@@ -197,7 +197,7 @@ def audit_vanishing_subsums(
     table = zip(values, map(sub, counts, dirties), dirties)
     table = tuple(table if full_table else compress(table, map(checked.__contains__, values)))
     bad = tuple(compress(values, map(lt, repeat(dirty_bound), dirties)))
-    k_floor = max(1, productset_size(a, max_pairs) // len(a))
+    k_floor = productset_size(a, max_pairs) // len(a)  # >= 1: |AA| >= |A| for nonempty A
     return AuditReport(
         degree=degree,
         support_size=support_size,
@@ -329,7 +329,7 @@ def parse_family(text: str) -> Family:
 
 def _log_log_slope(points: Sequence[tuple[int, int]]) -> float | None:
     """Least-squares slope of log(size2) against log(size1)."""
-    if len(points) < 2 or len({p[0] for p in points}) < 2:
+    if len({p[0] for p in points}) < 2:
         return None
     xs = [math.log(p[0]) for p in points]
     ys = [math.log(p[1]) for p in points]

@@ -218,11 +218,9 @@ def _keys(columns: list[Iterable[int]]) -> Iterable[int]:
     return keys
 
 
-def _key_counts(
-    f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str
-) -> tuple[int, Counter]:
-    """The scale of f's int keys and the number of pairs behind each key."""
-    scale, columns = _pair_rows(f, a, b, max_pairs, what, merge=True)
+def _key_counts(f: BivariatePoly, a: RationalSet, max_pairs: int) -> tuple[int, Counter]:
+    """The scale of f's int keys over a x a and the number of pairs behind each key."""
+    scale, columns = _pair_rows(f, a, a, max_pairs, "pair histogram", merge=True)
     return scale, Counter(_keys(columns))
 
 
@@ -308,7 +306,7 @@ def multiplicity_histogram(
     f: BivariatePoly, a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> MultiplicityHistogram:
     """Count, for every value v, the pairs (x, y) in a x a with f(x, y) = v."""
-    scale, counts = _key_counts(f, a, a, max_pairs, "pair histogram")
+    scale, counts = _key_counts(f, a, max_pairs)
     return MultiplicityHistogram(
         {Fraction(k, scale): m for k, m in sorted(counts.items())}
     )
@@ -320,7 +318,7 @@ def value_multiplicities(
     """The pairs behind each value of f(A,A), unordered; its length is |f(A,A)|.
 
     Count-only: builds no Fraction and sorts nothing."""
-    return list(_key_counts(f, a, a, max_pairs, "pair histogram")[1].values())
+    return list(_key_counts(f, a, max_pairs)[1].values())
 
 
 def energy(f: BivariatePoly, a: RationalSet, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:

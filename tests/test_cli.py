@@ -603,10 +603,50 @@ def test_type_error_is_not_a_usage_error(set_file, monkeypatch):
     monkeypatch.setattr(polyexpand.cli, "cmd_structure", broken)
     with pytest.raises(TypeError, match="defect"):
         main(["structure", "--set", set_file])
-    # json.dumps's hook passes on only the JSON texts it splices in.
+    # json_text writes a JSONText as it stands; any other value goes to json's encoder.
     monkeypatch.setattr(polyexpand.cli, "cmd_structure", lambda args, f: (0, {"x": object()}, []))
     with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
         main(["structure", "--set", set_file, "--format", "json"])
+
+
+def test_json_prints_a_nul_string_beside_a_json_text(set_file, monkeypatch, capsys):
+    # A payload string "\0" is a string like any other, never taken for a JSON text.
+    payload = {"note": "\0", "values": cli.json_array(["1", "-2/3"])}
+    monkeypatch.setattr(cli, "cmd_structure", lambda args, f: (0, payload, []))
+    code, out, err = run_cli(["structure", "--set", set_file, "--format", "json"], capsys)
+    resolved = {"command": "structure", "note": "\0", "values": ["1", "-2/3"]}
+    assert (code, out, err) == (0, json.dumps(resolved, sort_keys=True) + "\n", "")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["\0", "Ä"])
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(st.data())
+def test_json_text_matches_json_dumps(data):
+    # q is a nested dict of JSON values, NaN and infinities among the floats; p is q
+    # with some of its dicts' values v replaced by their JSON text.
+    def as_texts(q):
+        return {k: cli.JSONText(json.dumps(v, sort_keys=True)) if data.draw(st.booleans())
+                else as_texts(v) if isinstance(v, dict) else v for k, v in q.items()}
+
+    q = data.draw(st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+    assert cli.json_text(as_texts(q)) == json.dumps(q, sort_keys=True)
+
+
+def test_running_out_of_memory_exits_3(tmp_path):
+    # x + 10007*y has 9,000,000 distinct values on 1..3000, about 800 MB of keys.
+    path = tmp_path / "ints.txt"
+    path.write_text("".join(f"{v}\n" for v in range(1, 3001)), encoding="utf-8")
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (300 << 20,) * 2)\n"
+            "from polyexpand.cli import main\n"
+            "raise SystemExit(main(['image', '--poly', 'x + 10007*y', '--set', sys.argv[1]]))")
+    result = run_python_with_two_cpu_seconds(["-c", code, str(path)])
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", "error: out of memory\n")
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

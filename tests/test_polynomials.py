@@ -340,6 +340,20 @@ def test_zero_subset_detector_settles_a_cancelling_pair_without_subset_sums(monk
     assert calls == []
 
 
+def test_zero_subset_detector_prunes_dominating_values_before_subset_sums(monkeypatch):
+    calls = []
+    mask_sums = polynomials._mask_sums
+
+    def counted(values):
+        calls.append(values)
+        return mask_sums(values)
+
+    monkeypatch.setattr(polynomials, "_mask_sums", counted)
+    # 1000 is above the others' 61, then 50 above 11; 5 is not above 3 + 3 + 5.
+    assert not zero_proper_subset_exists((3, 3, -5, 50, 1000))
+    assert calls == [[3, -5], [3]]
+
+
 @st.composite
 def pruning_lists(draw):
     """Small ints with zeros and repeats, maybe a planted c, -c and dominating terms."""
