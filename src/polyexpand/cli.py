@@ -95,9 +95,10 @@ _encode = json.JSONEncoder(sort_keys=True).encode  # one encoder: dumps builds o
 
 def json_text(value: object) -> str:
     """json.dumps(value, sort_keys=True)'s text, with each JSONText in a dict as it stands."""
-    if isinstance(value, dict):
+    if isinstance(value, dict):  # one join, so a long JSONText is copied once
         items = sorted(value.items())
-        return "{" + ", ".join(f"{_encode(k)}: {json_text(v)}" for k, v in items) + "}"
+        pieces = [p for k, v in items for p in (", ", _encode(k), ": ", json_text(v))]
+        return "".join(["{", *pieces[1:], "}"])
     return value.data if isinstance(value, JSONText) else _encode(value)
 
 
