@@ -326,7 +326,9 @@ def test_zero_subset_detector_pruned_cases(values, expected):
     assert zero_proper_subset_exists(values) == expected
 
 
-def test_zero_subset_detector_settles_a_cancelling_pair_without_subset_sums(monkeypatch):
+@pytest.fixture
+def mask_sums_calls(monkeypatch):
+    """The value lists that zero_proper_subset_exists hands to its meet in the middle."""
     calls = []
     mask_sums = polynomials._mask_sums
 
@@ -335,23 +337,20 @@ def test_zero_subset_detector_settles_a_cancelling_pair_without_subset_sums(monk
         return mask_sums(values)
 
     monkeypatch.setattr(polynomials, "_mask_sums", counted)
+    return calls
+
+
+def test_zero_subset_detector_settles_a_cancelling_pair_without_subset_sums(mask_sums_calls):
     # 12 is not above 9 + 10 + 9, so the prune drops nothing; 9 - 9 settles it.
     assert zero_proper_subset_exists((9, 10, -9, 12))
-    assert calls == []
+    assert mask_sums_calls == []
 
 
-def test_zero_subset_detector_prunes_dominating_values_before_subset_sums(monkeypatch):
-    calls = []
-    mask_sums = polynomials._mask_sums
-
-    def counted(values):
-        calls.append(values)
-        return mask_sums(values)
-
-    monkeypatch.setattr(polynomials, "_mask_sums", counted)
-    # 1000 is above the others' 61, then 50 above 11; 5 is not above 3 + 3 + 5.
+def test_zero_subset_detector_prunes_dominating_values_before_subset_sums(mask_sums_calls):
+    # 1000 is above the others' 61, then 50 above the others' 11, and -5 is not above
+    # 3 + 3: only 3, 3, -5 reach the meet in the middle, not all five values.
     assert not zero_proper_subset_exists((3, 3, -5, 50, 1000))
-    assert calls == [[3, -5], [3]]
+    assert mask_sums_calls == [[3, -5], [3]]
 
 
 @st.composite
