@@ -23,7 +23,7 @@ from .lab import (
 )
 from .polynomials import BivariatePoly, format_monomial, parse_poly
 from .polynomials import classify_monomial_composition, non_parallel_witnesses
-from .rational import format_int, format_key, format_keys, format_rational
+from .rational import format_int, format_keys, format_rational
 from .sets import (  # noqa: F401 - bench/test_bench.py reads cli.image_set
     DEFAULT_MAX_PAIRS,
     CapExceeded,
@@ -175,7 +175,7 @@ def cmd_structure(args: argparse.Namespace, f: None) -> Result:
     require_nonzero_elements(a)  # before the product walk, which a larger cap cannot save
     products = productset_size(a, args.max_pairs)
     rank = multiplicative_rank(a, args.max_pairs)
-    doubling = format_key(products, len(a))
+    doubling = format_keys((products,), len(a))[0]
     payload = {
         "set_size": len(a),
         "productset_size": products,

@@ -36,8 +36,9 @@ from .sets import (
     DEFAULT_MAX_PAIRS,
     PRODUCT,
     RationalSet,
+    _columns,
     _keys,
-    _pair_rows,
+    _rows,
     check_budget,
     check_elements,
     ladder_sizes,
@@ -168,7 +169,8 @@ def audit_vanishing_subsums(
     check_budget(len(f.support), MAX_SUBSUM_SUPPORT, "subsum audit", "terms", None)
     # Term values and their sums are ints scaled by the same scale > 0, so
     # vanishing subsums, equal values and the value order are all exact.
-    scale, streams = _pair_rows(f, a, a, max_pairs, "subsum audit", merge=not full_table)
+    scale, prepared = _columns(f, a.scale, a.keys, a.keys, max_pairs, "subsum audit",
+                               not full_table)
     support_size = len(f.support)
     # Each pair's meet in the middle builds up to 2^ceil(m/2) subset sums.
     sums = len(a) ** 2 * 2 ** ((support_size + 1) // 2)
@@ -177,10 +179,11 @@ def audit_vanishing_subsums(
     dirty_bound = degree * degree * 2**support_size
     # Pairs per key, all and dirty, a block of rows cut from the streams; key 0 is the value 0.
     # Without the full table a merged walk counts first; only the keys in checked are checked.
-    totals, dirty = Counter() if full_table else Counter(_keys(streams)), Counter()
+    totals, dirty = Counter() if full_table else Counter(_keys(_rows(prepared))), Counter()
     checked = {k for k, n in totals.items() if n > dirty_bound or not k}
     if checked:  # the check needs one column per term, which a merged walk does not keep
-        streams = _pair_rows(f, a, a, max_pairs, "subsum audit")[1]
+        prepared = _columns(f, a.scale, a.keys, a.keys, max_pairs, "subsum audit")[1]
+    streams = _rows(prepared)
     rows = max(1, AUDIT_BLOCK_PAIRS // len(a))
     for _ in range(0, len(a), rows) if full_table or checked else ():
         columns = [list(islice(s, rows * len(a))) for s in streams]
@@ -242,8 +245,8 @@ def audit_injectivity(
     # The term columns of x^i y^j + x^i' y^j' are the two monomial values,
     # each times a positive constant: equal int pairs mean equal value pairs.
     monomials = BivariatePoly({(i, j): 1, (i2, j2): 1})
-    _, columns = _pair_rows(monomials, box, box, max_pairs, "injectivity audit")
-    return len(set(zip(*columns))) == len(box) ** 2
+    columns = _columns(monomials, box.scale, box.keys, box.keys, max_pairs, "injectivity audit")[1]
+    return len(set(zip(*_rows(columns)))) == len(box) ** 2
 
 
 def cauchy_schwarz_check(

@@ -47,12 +47,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical text form: ``"p/q"``, or just ``"p"`` for integers."""
-    return format_key(value.numerator, value.denominator)
-
-
-def format_key(key: int, scale: int) -> str:
-    """The text of ``Fraction(key, scale)`` for ``scale > 0``: ``format_keys`` on one key."""
-    return format_keys((key,), scale)[0]
+    return format_keys((value.numerator,), value.denominator)[0]
 
 
 def format_keys(keys: Sequence[int], scale: int) -> list[str]:

@@ -1,23 +1,23 @@
 """Finite rational sets and the exact pair-space aggregation engine.
 
-A RationalSet is its ascending int keys k over one scale, the lcm of its
-denominators: its values are k/scale, and Fractions are built only on demand
-(``elements``). Product sets, polynomial image sets, multiplicity
-histograms, polynomial energies and sweep ladders all walk the pair space
-through one integer kernel: ``_clear`` reads f over one scale, ``_columns``
-prepares each term column of the int keys scale*f(x, y), scale > 0, once, and
-``_rows`` streams it over an x-range and a y-range through C-level iterators; only
-a column of both x and y multiplies per pair, and a walk that merges f's terms by
-powers of y takes f or its transpose, whichever has fewer such columns.
+A RationalSet is its ascending int keys k over one scale, the lcm of its denominators:
+its values are k/scale, and Fractions are built only on demand (``elements``). Product
+sets, images, multiplicity histograms, energies and sweep ladders all walk the pair
+space through one integer kernel. ``_columns`` is every walk's one preparation: it checks
+the pair budget, reads f over one scale (``_clear``) and prepares each term column of
+the int keys scale*f(x, y), scale > 0, once; ``_rows`` streams the columns over an
+x-range and a y-range through C-level iterators. Only a column of both x and y
+multiplies per pair, and a walk that merges f's terms by powers of y takes f or its
+transpose, whichever has fewer such columns. Walks over A x A take A's own keys;
+``image_keys`` reads its two sets over their lcm and sorts the keys the CLI prints.
 ``ladder_sizes`` counts |AA| and |f(A,A)|, preparing nested sets once and walking
-shells of new pairs as slices (a symmetric f skips mirrored ones); ``_key_counts``
-keeps multiplicities. Dedup, counts, energies, sort order and vanishing subsums are
-exact on ints; ``image_keys`` sorts keys the CLI prints.
-Energies cost O(|A|^2) pair work, not O(|A|^4); nothing here uses floats.
+shells of new pairs as slices (an f equal to its transpose skips mirrored ones);
+``_key_counts`` keeps multiplicities. Dedup, counts, energies, sort order and vanishing
+subsums are exact on ints; energies cost O(|A|^2) pair work, not O(|A|^4).
 """
 
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, pairwise, product, repeat, starmap
@@ -164,15 +164,20 @@ def _clear(f: BivariatePoly, d: int) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 def _columns(
-    cleared: list[tuple[int, int, int]], xs: list[int], ys: list[int], merge: bool
-) -> list[tuple[str, list[int], list[int]]]:
-    """The kernel's one-time preparation: per group of f's terms, its kind and two lists.
+    f: BivariatePoly, d: int, xs: Sequence[int], ys: Sequence[int], max_pairs: int,
+    what: str, merge: bool = False,
+) -> tuple[int, list[tuple[str, Sequence[int], list[int]]]]:
+    """The kernel's one preparation of a walk of f over xs x ys, keys over one scale d.
 
+    It checks the budget of len(xs) * len(ys) pairs under what, clears f over d, and
+    returns the scale of f's int keys and, per group of f's terms, its kind and two lists.
     Kind "x" is the group of Y^0: its coefficient sum of C*X^i over xs, and Y^0 over ys.
     Kind "y" is a lone C*Y^j, j > 0: xs, and C*Y^j over ys. Kind "xy" is any other: the
     sum, and Y^j over ys. With merge, a group is a power of Y, and f's terms are transposed
     (C, i, j) -> (C, j, i), with xs and ys swapped, if that leaves fewer "xy" groups (ties:
     fewer groups): f^T(y, x) = f(x, y) keeps the values and their counts."""
+    check_budget(len(xs) * len(ys), max_pairs, what)
+    scale, cleared = _clear(f, d)
     cost = [(len({k[t] for k in cleared if k[1] and k[2]}), len({k[t] for k in cleared}))
             for t in (1, 2)]  # grouped by powers of X (t = 1), then of Y (t = 2)
     if merge and cost[0] < cost[1]:
@@ -181,13 +186,14 @@ def _columns(
     for c, i, j in cleared:
         groups.setdefault((j,) if merge else (i, j), []).append((c, i))
     y_pows = {j: [y**j for y in ys] for j in {j for _, _, j in cleared}}
-    return [("y", xs, [ts[0][0] * p for p in y_pows[j]]) if j and not any(i for _, i in ts)
-            else ("xy" if j else "x", list(map(sum, zip(*[[c * x**i for x in xs] for c, i in ts]))),
-                  y_pows[j])
-            for (*_, j), ts in groups.items()]
+    return scale, [
+        ("y", xs, [ts[0][0] * p for p in y_pows[j]]) if j and not any(i for _, i in ts)
+        else ("xy" if j else "x", list(map(sum, zip(*[[c * x**i for x in xs] for c, i in ts]))),
+              y_pows[j])
+        for (*_, j), ts in groups.items()]
 
 
-def _rows(columns: list[tuple[str, list[int], list[int]]], xr: slice = slice(None),
+def _rows(columns: list[tuple[str, Sequence[int], list[int]]], xr: slice = slice(None),
           yr: slice = slice(None)) -> list[Iterator[int]]:
     """The kernel's stream: each prepared column over the x-range xr x the y-range yr,
     x-major, a value per pair and no Python code run per pair; ``_keys`` adds them. Only
@@ -195,20 +201,6 @@ def _rows(columns: list[tuple[str, list[int], list[int]]], xr: slice = slice(Non
     return [starmap(mul, product(cx[xr], py[yr])) if kind == "xy" else
             chain.from_iterable(map(repeat, cx[xr], repeat(len(py[yr])))) if kind == "x" else
             chain.from_iterable(repeat(py[yr], len(cx[xr]))) for kind, cx, py in columns]
-
-
-def _pair_rows(
-    f: BivariatePoly, a: RationalSet, b: RationalSet, max_pairs: int, what: str,
-    merge: bool = False,
-) -> tuple[int, list[Iterator[int]]]:
-    """The scale of f's int keys and the full-range ``_rows`` streams of f over a x b,
-    both sets read over D = lcm(a.scale, b.scale); the budget is checked first."""
-    check_budget(len(a) * len(b), max_pairs, what)
-    d = lcm(a.scale, b.scale)
-    scale, cleared = _clear(f, d)
-    xs = [x * (d // a.scale) for x in a.keys]
-    ys = [y * (d // b.scale) for y in b.keys]
-    return scale, _rows(_columns(cleared, xs, ys, merge))
 
 
 def _keys(columns: list[Iterable[int]]) -> Iterable[int]:
@@ -220,8 +212,8 @@ def _keys(columns: list[Iterable[int]]) -> Iterable[int]:
 
 def _key_counts(f: BivariatePoly, a: RationalSet, max_pairs: int) -> tuple[int, Counter]:
     """The scale of f's int keys over a x a and the number of pairs behind each key."""
-    scale, columns = _pair_rows(f, a, a, max_pairs, "pair histogram", merge=True)
-    return scale, Counter(_keys(columns))
+    scale, columns = _columns(f, a.scale, a.keys, a.keys, max_pairs, "pair histogram", True)
+    return scale, Counter(_keys(_rows(columns)))
 
 
 def ladder_sizes(
@@ -233,7 +225,7 @@ def ladder_sizes(
     The last set's keys over its scale d are then ordered by the set they join, prepared
     once, and walked in shells: if set n holds keys [0, hi) and set n-1 keys [0, lo), its
     shell is new x all, [lo, hi) x [0, hi), then old x new, [0, lo) x [lo, hi), unless f's
-    cleared terms equal their transpose and so give old x new's values already. The key
+    terms equal their transpose and so give old x new's values already. The key
     map is injective, so a set's count is the key set's size after its shell. A ladder
     that does not nest is walked one set at a time.
     """
@@ -241,11 +233,9 @@ def ladder_sizes(
     held = [{k * (d // a.scale) for k in a.keys} for a in ladder]
     if any(d % a.scale for a in ladder) or not all(map(set.issubset, held, held[1:])):
         return [ladder_sizes(f, [a], max_pairs, what)[0] for a in ladder]
-    check_budget(len(held[-1]) ** 2, max_pairs, what)
-    cleared = _clear(f, d)[1]
-    mirrored = {(c, j, i) for c, i, j in cleared} != set(cleared)
+    mirrored = {(j, i): c for (i, j), c in f.terms.items()} != f.terms
     order = [k for old, keys in zip([set()] + held, held) for k in keys - old]
-    columns = _columns(cleared, order, order, True)
+    columns = _columns(f, d, order, order, max_pairs, what, True)[1]
     seen: set[int] = set()
     sizes = []
     for lo, hi in pairwise([0, *map(len, held)]):
@@ -278,8 +268,10 @@ def image_keys(
 ) -> tuple[int, list[int]]:
     """The scale and the ascending distinct int keys of f over a x b: f(a, b) is key/scale.
     A dict collects them, keeping the x-major runs of the walk, which speed the sort."""
-    scale, columns = _pair_rows(f, a, b, max_pairs, "image enumeration", merge=True)
-    return scale, sorted(dict.fromkeys(_keys(columns)))
+    d = lcm(a.scale, b.scale)
+    xs, ys = [x * (d // a.scale) for x in a.keys], [y * (d // b.scale) for y in b.keys]
+    scale, columns = _columns(f, d, xs, ys, max_pairs, "image enumeration", True)
+    return scale, sorted(dict.fromkeys(_keys(_rows(columns))))
 
 
 def image_set(

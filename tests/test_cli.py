@@ -681,7 +681,7 @@ def test_each_printed_value_is_rendered_once(case, tmp_path):
     """str(f) runs only where f is printed, and a sweep formats no rational it does not print.
 
     image renders its values in one format_keys call, and a subsum audit makes one call
-    per list it prints; only structure calls format_key, for its one doubling."""
+    per list it prints; structure's one list is its doubling."""
     argv = case["argv"]
     assert not any(arg.startswith(("--format=", "--poly=")) for arg in argv)
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
@@ -695,8 +695,7 @@ def test_each_printed_value_is_rendered_once(case, tmp_path):
 
     with mock.patch.object(BivariatePoly, "__str__", counted("str", BivariatePoly.__str__)), \
             mock.patch.object(cli, "format_rational", counted("format", cli.format_rational)), \
-            mock.patch.object(cli, "format_keys", counted("keys", cli.format_keys)), \
-            mock.patch.object(cli, "format_key", counted("key", cli.format_key)):
+            mock.patch.object(cli, "format_keys", counted("keys", cli.format_keys)):
         code, out, _ = replay(argv, case["patch"], tmp_path)
     assert code == case["code"]
     sweep = argv[0] == "sweep"
@@ -707,9 +706,8 @@ def test_each_printed_value_is_rendered_once(case, tmp_path):
         assert calls["format"] == 2 * rows
     command = None if "-h" in argv else argv[0]  # help runs no command
     lists = 0  # high multiplicity, then bad values and the table where they are printed
-    if command == "image":
+    if command in ("image", "structure"):
         lists = 1
     elif command == "audit" and "--set" in argv:
         lists = 3 if fmt == "json" else 1 + ("full table" in out)
     assert calls["keys"] == lists
-    assert calls["key"] == (command == "structure")

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyexpand import RationalParseError, format_rational, parse_rational, rational
-from polyexpand.rational import format_int, format_key, format_keys, parse_ratio
+from polyexpand.rational import format_int, format_keys, parse_ratio
 
 
 def test_fractions_reduce():
@@ -123,14 +123,14 @@ commons = st.one_of(st.just(1), st.sampled_from([2**200, 3**150 * 5**40]), st.in
 @given(keys, scales, commons)
 def test_format_key_matches_format_rational(key, scale, common):
     for k, s in ((key, scale), (key * common, scale * common)):
-        assert format_key(k, s) == format_rational(Fraction(k, s))
+        assert format_keys((k,), s)[0] == format_rational(Fraction(k, s))
 
 
 def test_format_key_examples():
-    assert format_key(0, 12) == "0"
-    assert format_key(-6, 4) == "-3/2"
-    assert format_key(-8, 4) == "-2"
-    assert format_key(7, 1) == "7"
+    assert format_keys((0,), 12)[0] == "0"
+    assert format_keys((-6,), 4)[0] == "-3/2"
+    assert format_keys((-8,), 4)[0] == "-2"
+    assert format_keys((7,), 1)[0] == "7"
 
 
 # A run of keys over one scale, as image and audit print them: zero, negatives, repeats
@@ -169,7 +169,7 @@ def test_format_keys_prints_past_the_digit_limit():
     assert format_keys([big, -big, 3], 1) == [str(Decimal(big)), str(Decimal(-big)), "3"]
     assert format_keys([big, 2], 4) == [str(Decimal(big)) + "/4", "1/2"]
     assert format_keys([3, 1], 2 * big) == [f"3/{Decimal(2 * big)}", f"1/{Decimal(2 * big)}"]
-    assert format_key(-big * 14, 14) == format_int(-big) == str(Decimal(-big))
+    assert format_keys((-big * 14,), 14)[0] == format_int(-big) == str(Decimal(-big))
     texts = format_keys([big, -big, 3, 2 * big + 1], 2 * big)
     assert all(re.match(r"-?\d+(/\d+)?\Z", text) for text in texts)
     assert sys.get_int_max_str_digits() == limit

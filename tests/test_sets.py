@@ -2,6 +2,7 @@ import math
 import random
 import tempfile
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from polyexpand import (
     CapExceeded,
     RationalParseError,
     RationalSet,
+    audit_vanishing_subsums,
     doubling_ratio,
     energy,
     image_set,
@@ -22,8 +24,9 @@ from polyexpand import (
     parse_rational,
     productset,
     read_set_file,
+    sets,
 )
-from polyexpand.sets import _gcd
+from polyexpand.sets import _gcd, image_keys, ladder_sizes, productset_size, value_multiplicities
 from reference import evaluate
 
 
@@ -328,6 +331,31 @@ def test_cap_message_names_budget_request_cap_and_flag():
     assert message.startswith("pair budget exceeded: image enumeration needs 9 pairs")
     assert "above the cap of 8" in message
     assert "--max-pairs" in message
+
+
+def test_every_pair_walk_checks_its_pair_budget_before_it_reads_f(monkeypatch):
+    """A walk refused for its pairs clears no f: the budget check comes first.
+
+    The injectivity audit is left out: check_elements holds its box to isqrt(max_pairs)
+    elements first, so the box's pairs never exceed max_pairs and its pair check cannot trip.
+    """
+    def clear(*args):
+        raise AssertionError("f was cleared before the pair budget was checked")
+
+    monkeypatch.setattr(sets, "_clear", clear)
+    a, f = make_set([1, 2, 3, 4]), parse_poly("x^2*y + y")
+    walks = [
+        ("image enumeration", partial(image_keys, f, a, a, 15)),
+        ("pair histogram", partial(value_multiplicities, f, a, 15)),
+        ("pair histogram", partial(energy, f, a, 15)),
+        ("product set", partial(productset_size, a, 15)),
+        ("pair histogram", partial(ladder_sizes, f, [make_set([1, 2]), a], 15)),
+        ("subsum audit", partial(audit_vanishing_subsums, f, a, max_pairs=15)),
+        ("subsum audit", partial(audit_vanishing_subsums, f, a, max_pairs=15, full_table=False)),
+    ]
+    for what, walk in walks:
+        with pytest.raises(CapExceeded, match=f"^pair budget exceeded: {what} needs 16 pairs,"):
+            walk()
 
 
 def test_results_are_reproducible():
