@@ -276,7 +276,7 @@ class GeometricFamily(NamedTuple("GeometricFamily", [("ratio", Fraction)])):
     def sample(self, n: int, max_pairs: int = DEFAULT_MAX_PAIRS) -> RationalSet:
         check_elements(n, max_pairs, "geometric family")
         p, q = self.ratio.as_integer_ratio()
-        return RationalSet.from_keys(q**n, [p**k * q ** (n - k) for k in range(1, n + 1)])
+        return RationalSet(q**n, [p**k * q ** (n - k) for k in range(1, n + 1)])
 
 
 class GGPFamily(NamedTuple):

@@ -1,17 +1,17 @@
 """Finite rational sets and the exact pair-space aggregation engine.
 
 A RationalSet is its ascending int keys k over one scale, the lcm of its denominators:
-its values are k/scale, and Fractions are built only on demand (``elements``). Product
-sets, images, multiplicity histograms, energies and sweep ladders all walk the pair
-space through one integer kernel. ``_columns`` is every walk's one preparation: it checks
-the pair budget, reads f over one scale (``_clear``) and prepares each term column of
-the int keys scale*f(x, y), scale > 0, once; ``_rows`` streams the columns over an
-x-range and a y-range through C-level iterators. Only a column of both x and y
-multiplies per pair, and a walk that merges f's terms by powers of y takes f or its
-transpose, whichever has fewer such columns. Walks over A x A take A's own keys;
-``image_keys`` reads its two sets over their lcm and sorts the keys the CLI prints.
-``ladder_sizes`` counts |AA| and |f(A,A)|, preparing nested sets once and walking
-shells of new pairs as slices (an f equal to its transpose skips mirrored ones);
+its constructor is the one normalizer, its values are k/scale, and only iterating it
+builds Fractions. Product sets, images, multiplicity histograms, energies and sweep
+ladders all walk the pair space through one integer kernel. ``_columns`` is every walk's
+one preparation: it checks the pair budget, reads f over one scale (``_clear``) and
+prepares each term column of the int keys scale*f(x, y), scale > 0, once; ``_rows``
+streams the columns over an x-range and a y-range through C-level iterators. Only a
+column of both x and y multiplies per pair, and a walk that merges f's terms by powers
+of y takes f or its transpose, whichever has fewer such columns. Walks over A x A take
+A's own keys; ``image_keys`` reads its two sets over their lcm and sorts the keys the
+CLI prints. ``ladder_sizes`` counts |AA| and |f(A,A)|, preparing nested sets once and
+walking shells of new pairs as slices (an f equal to its transpose skips mirrored ones);
 ``_key_counts`` keeps multiplicities. Dedup, counts, energies, sort order and vanishing
 subsums are exact on ints; energies cost O(|A|^2) pair work, not O(|A|^4).
 """
@@ -19,15 +19,14 @@ subsums are exact on ints; energies cost O(|A|^2) pair work, not O(|A|^4).
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, pairwise, product, repeat, starmap
 from math import gcd, isqrt, lcm
-from operator import add, lt, mul
+from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple
 
 from .polynomials import BivariatePoly
-from .rational import RationalParseError, format_keys, parse_ratio
+from .rational import RationalParseError, parse_ratio
 
 DEFAULT_MAX_PAIRS = 100_000_000
 
@@ -65,25 +64,19 @@ def _gcd(scale: int, keys: Collection[int]) -> int:
 class RationalSet:
     """A finite set of rationals: the values key/scale of strictly increasing keys.
 
-    scale > 0 is the lcm of the values' denominators, so gcd(scale, *keys) == 1
-    and every set has exactly one form; ``from_keys`` brings any keys to it.
+    ``RationalSet(scale, keys)`` takes any scale > 0 and any nonempty iterable of int
+    keys, dedups them, divides out gcd(scale, *keys) and sorts them, so scale is the lcm
+    of the values' denominators and every set has exactly one form.
     """
 
-    def __init__(self, scale: int, keys: tuple[int, ...]) -> None:
-        if not keys:
-            raise ValueError("a set must contain at least one element")
-        if scale < 1 or _gcd(scale, keys) != 1:
-            raise ValueError("the scale must be the lcm of the denominators")
-        if not all(map(lt, keys, keys[1:])):
-            raise ValueError("keys must be strictly increasing and distinct")
-        self.__dict__.update(scale=scale, keys=keys)
-
-    @classmethod
-    def from_keys(cls, scale: int, keys: Iterable[int]) -> "RationalSet":
-        """The set of the values k/scale for scale > 0: dedups, reduces by the gcd, sorts."""
+    def __init__(self, scale: int, keys: Iterable[int]) -> None:
+        if scale < 1:
+            raise ValueError("the scale must be positive")
         distinct = set(keys)
+        if not distinct:
+            raise ValueError("a set must contain at least one element")
         g = _gcd(scale, distinct)
-        return cls(scale // g, tuple(sorted([k // g for k in distinct])))
+        self.__dict__.update(scale=scale // g, keys=tuple(sorted([k // g for k in distinct])))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -99,18 +92,12 @@ class RationalSet:
     def __repr__(self) -> str:
         return f"RationalSet(scale={self.scale!r}, keys={self.keys!r})"
 
-    @cached_property
-    def elements(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(k, self.scale) for k in self.keys])
-
     def __len__(self) -> int:
         return len(self.keys)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.elements)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(format_keys(self.keys, self.scale)) + "}"
+        """The values as Fractions, ascending, each built as it is reached."""
+        return map(Fraction, self.keys, repeat(self.scale))
 
 
 def make_set(values: Iterable[Fraction | int]) -> RationalSet:
@@ -121,7 +108,7 @@ def make_set(values: Iterable[Fraction | int]) -> RationalSet:
             raise TypeError("floats are not exact; parse a decimal string instead")
         out.append(value if type(value) is Fraction else Fraction(value))
     d = lcm(*[v.denominator for v in out])
-    return RationalSet.from_keys(d, [v.numerator * (d // v.denominator) for v in out])
+    return RationalSet(d, [v.numerator * (d // v.denominator) for v in out])
 
 
 def read_set_file(path: str | Path) -> RationalSet:
@@ -129,7 +116,7 @@ def read_set_file(path: str | Path) -> RationalSet:
 
     Its literals p/q become keys p * (d // q) over d = lcm(q, ...): no Fraction is built."""
     ratios = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -141,7 +128,7 @@ def read_set_file(path: str | Path) -> RationalSet:
     if not ratios:
         raise ValueError(f"{path}: no elements found")
     d = lcm(*[q for _, q in ratios])
-    return RationalSet.from_keys(d, [p * (d // q) for p, q in ratios])
+    return RationalSet(d, [p * (d // q) for p, q in ratios])
 
 
 PRODUCT = BivariatePoly({(1, 1): 1})
@@ -281,7 +268,7 @@ def image_set(
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> RationalSet:
     """The set of distinct values f(x, y) over a x b (b defaults to a)."""
-    return RationalSet.from_keys(*image_keys(f, a, a if b is None else b, max_pairs))
+    return RationalSet(*image_keys(f, a, a if b is None else b, max_pairs))
 
 
 class MultiplicityHistogram(NamedTuple):

@@ -214,7 +214,7 @@ def ggp_enumerate(
 
 def ggp_power(g: GGP, t: int, max_pairs: int = DEFAULT_MAX_PAIRS) -> RationalSet:
     """The set of products of the t-dilated box, deduplicated."""
-    return RationalSet.from_keys(*ggp_enumerate(g, t, max_pairs))
+    return RationalSet(*ggp_enumerate(g, t, max_pairs))
 
 
 def distinctness_check(g: GGP, t: int, max_pairs: int = DEFAULT_MAX_PAIRS) -> bool:

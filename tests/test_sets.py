@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import tempfile
 from fractions import Fraction
@@ -26,6 +27,7 @@ from polyexpand import (
     read_set_file,
     sets,
 )
+from polyexpand.rational import format_keys
 from polyexpand.sets import _gcd, image_keys, ladder_sizes, productset_size, value_multiplicities
 from reference import evaluate
 
@@ -50,15 +52,15 @@ def naive_energy(f, a):
 
 
 def test_make_set_dedups():
-    assert make_set([2, 2, 4]).elements == (Fraction(2), Fraction(4))
+    assert tuple(make_set([2, 2, 4])) == (Fraction(2), Fraction(4))
 
 
 def test_make_set_sorts():
-    assert make_set([8, 2, 4]).elements == (Fraction(2), Fraction(4), Fraction(8))
+    assert tuple(make_set([8, 2, 4])) == (Fraction(2), Fraction(4), Fraction(8))
 
 
 def test_make_set_singleton():
-    assert make_set([Fraction(1, 2)]).elements == (Fraction(1, 2),)
+    assert tuple(make_set([Fraction(1, 2)])) == (Fraction(1, 2),)
 
 
 def test_make_set_rejects_empty():
@@ -95,28 +97,37 @@ def test_make_set_matches_fraction_sort(fractions, rng):
     values = [parse_rational(text) for q in fractions for text in spellings(q)]
     values += [int(q) for q in fractions if q.denominator == 1]
     rng.shuffle(values)
-    assert make_set(values).elements == tuple(sorted(set(map(Fraction, values))))
+    assert tuple(make_set(values)) == tuple(sorted(set(map(Fraction, values))))
 
 
 def test_make_set_merges_spellings():
     values = [parse_rational(t) for t in ("0.5", "2/4", "-3", "1/2", "0", "-6/2")]
-    assert make_set(values).elements == (Fraction(-3), Fraction(0), Fraction(1, 2))
+    assert tuple(make_set(values)) == (Fraction(-3), Fraction(0), Fraction(1, 2))
 
 
 def test_rational_set_enforces_order():
     a = RationalSet(2, (-1, 2, 3))
-    assert a.elements == (Fraction(-1, 2), Fraction(1), Fraction(3, 2))
-    assert str(a) == "{-1/2, 1, 3/2}" and len(a) == 3
-    with pytest.raises(ValueError, match="increasing"):
-        RationalSet(1, (2, 1))
-    with pytest.raises(ValueError, match="increasing"):
-        RationalSet(1, (1, 1))
-    with pytest.raises(ValueError, match="at least one"):
-        RationalSet(1, ())
-    # {1, 2} over the scale 2: its canonical form is RationalSet(1, (1, 2)).
-    for scale, keys in ((2, (2, 4)), (0, (1,)), (-1, (1,))):
-        with pytest.raises(ValueError, match="lcm"):
+    assert tuple(a) == (Fraction(-1, 2), Fraction(1), Fraction(3, 2))
+    assert ", ".join(format_keys(a.keys, a.scale)) == "-1/2, 1, 3/2" and len(a) == 3
+    # Unsorted, repeated or reducible keys are brought to the one form.
+    for scale, keys, canonical in ((1, (2, 1), (1, 2)), (2, (2, 4), (1, 2)), (1, (1, 1), (1,))):
+        b = RationalSet(scale, keys)
+        assert b == RationalSet(1, canonical) and (b.scale, b.keys) == (1, canonical)
+    for scale, keys in ((0, (1,)), (-1, (1,)), (0, (0,))):
+        with pytest.raises(ValueError, match="^the scale must be positive$"):
             RationalSet(scale, keys)
+    with pytest.raises(ValueError, match="at least one element"):
+        RationalSet(1, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+def test_rational_set_normalizes_any_keys(scale, keys):
+    a = RationalSet(scale, keys)
+    assert a == make_set(Fraction(k, scale) for k in keys)
+    assert type(a.keys) is tuple and all(map(operator.lt, a.keys, a.keys[1:]))
+    assert hash(a) == hash(RationalSet(a.scale, a.keys)) and math.gcd(a.scale, *a.keys) == 1
+    assert tuple(a) == tuple(sorted({Fraction(k, scale) for k in keys}))
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,14 +157,14 @@ def test_make_set_of_4000_prime_reciprocals_in_two_cpu_seconds():
 
 def test_rational_set_is_an_immutable_value():
     a = make_set([Fraction(1, 2), 2, Fraction(-3, 4)])
-    b = RationalSet.from_keys(8, [4, -6, 16, 4])
+    b = RationalSet(8, [4, -6, 16, 4])
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != make_set([2]) and a != (4, (-3, 2, 8))
     assert repr(a) == "RationalSet(scale=4, keys=(-3, 2, 8))"
     for name in ("scale", "keys", "elements", "other"):
         with pytest.raises(AttributeError):
             setattr(a, name, 1)
-    assert (a.scale, a.keys, a.elements) == (4, (-3, 2, 8), b.elements)
+    assert (a.scale, a.keys, tuple(a)) == (4, (-3, 2, 8), tuple(b))
 
 
 def test_membership():
@@ -204,16 +215,16 @@ def test_set_ops_match_naive_loops():
     for _ in range(20):
         a = random_set(rng, max_size=12)
         b = random_set(rng, max_size=12)
-        assert image_set(SUM, a, b).elements == tuple(sorted({x + y for x in a for y in b}))
-        assert productset(a, b).elements == tuple(sorted({x * y for x in a for y in b}))
+        assert tuple(image_set(SUM, a, b)) == tuple(sorted({x + y for x in a for y in b}))
+        assert tuple(productset(a, b)) == tuple(sorted({x * y for x in a for y in b}))
 
 
 def test_set_ops_match_naive_loops_at_50():
     rng = random.Random(20241)
     a = make_set([Fraction(rng.randint(-500, 500), rng.randint(1, 9)) for _ in range(80)][:50])
     b = make_set([Fraction(rng.randint(-500, 500), rng.randint(1, 9)) for _ in range(80)][:50])
-    assert image_set(SUM, a, b).elements == tuple(sorted({x + y for x in a for y in b}))
-    assert productset(a, b).elements == tuple(sorted({x * y for x in a for y in b}))
+    assert tuple(image_set(SUM, a, b)) == tuple(sorted({x + y for x in a for y in b}))
+    assert tuple(productset(a, b)) == tuple(sorted({x * y for x in a for y in b}))
 
 
 def test_image_single_monomial_dyadic():
@@ -239,7 +250,7 @@ def test_image_matches_histogram_keys():
     for _ in range(10):
         a = random_set(rng, max_size=8)
         f = random_poly(rng, max_degree=3)
-        assert image_set(f, a).elements == tuple(multiplicity_histogram(f, a).counts)
+        assert tuple(image_set(f, a)) == tuple(multiplicity_histogram(f, a).counts)
 
 
 def test_histogram_product_example():
@@ -395,6 +406,17 @@ def test_read_set_file_reports_line(tmp_path):
     path.write_text("1\n2\nnot-a-number\n", encoding="utf-8")
     with pytest.raises(RationalParseError, match="line 3"):
         read_set_file(path)
+
+
+def test_read_set_file_skips_a_byte_order_mark(tmp_path):
+    plain, marked, bad = tmp_path / "plain.txt", tmp_path / "bom.txt", tmp_path / "bad.txt"
+    plain.write_text("1\n# two\n-3/2\n", encoding="utf-8")
+    marked.write_text("1\n# two\n-3/2\n", encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert read_set_file(marked) == read_set_file(plain) == make_set([1, Fraction(-3, 2)])
+    bad.write_text("1\n2\nnot-a-number\n", encoding="utf-8-sig")
+    with pytest.raises(RationalParseError, match=r"bad\.txt, line 3: "):
+        read_set_file(bad)
 
 
 def test_read_set_file_reports_line_of_a_literal_past_the_digit_limit(tmp_path):
