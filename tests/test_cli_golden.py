@@ -85,7 +85,14 @@ pair. `{Ä}` holds 1, 2 and 4, under a file name with a non-ASCII letter:
 `sweep-non-ascii-file-text` and `-json` (`x^2 + 3*y` over `files:{Ä},{S}`)
 pin the `\\u00c4` escape of that name in the family's description, and were
 recorded while `--format json` still cut prebuilt JSON texts back into the
-line `json.dumps` printed. A case with a `patch` wraps one library call seen
+line `json.dumps` printed. The refusals, each exiting 2, were recorded while
+three stacked `lab` helpers still built them: `audit-exceptional-set-text`,
+`audit-exceptional-ggp-text`, `audit-constant-poly-text` (the constant 3, which
+equals `g(1)`) and `sweep-exceptional-refused-text` refuse the `g(x^a y^b)`
+shape; `energy-zero-poly`, `audit-zero-poly-set` and `audit-zero-poly-ggp`
+refuse the zero polynomial; and `sweep-zero-poly-no-sizes` and
+`sweep-no-sizes` pin a sweep's order of checks, the zero polynomial before an
+empty `--N`. A case with a `patch` wraps one library call seen
 by the CLI so that it reports a falsified bound, which exercises the exit-4 output that correct
 code never reaches.
 
