@@ -130,22 +130,16 @@ def _require_nonzero(f: BivariatePoly) -> None:
         raise ValueError("the zero polynomial is not accepted here")
 
 
-def _refuse_exceptional(f: BivariatePoly, closing: str) -> None:
-    """Raise ExceptionalPolynomialError if f = g(x^a y^b); closing ends the message."""
-    decomposition = classify_monomial_composition(f)
-    if decomposition is not None:
-        raise ExceptionalPolynomialError(
-            f"f = {f} equals g({format_monomial(decomposition.monomial)}) with "
-            f"g(t) = {decomposition.g}{closing}"
-        )
-
-
-def _require_non_exceptional(f: BivariatePoly) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Refuse g(x^a y^b) shapes; return the first non-parallel witness pair."""
+def _require_non_exceptional(
+    f: BivariatePoly, closing: str = "; its image can grow linearly, so this operation refuses it"
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Refuse 0 and g(x^a y^b), ending the latter's message with closing; return a witness pair."""
     _require_nonzero(f)
-    witnesses = non_parallel_witnesses(f)
-    if witnesses is None:
-        _refuse_exceptional(f, "; its image can grow linearly, so this operation refuses it")
+    if (witnesses := non_parallel_witnesses(f)) is None:
+        shape = classify_monomial_composition(f)
+        raise ExceptionalPolynomialError(
+            f"f = {f} equals g({format_monomial(shape.monomial)}) with g(t) = {shape.g}{closing}"
+        )
     return witnesses
 
 
@@ -364,11 +358,8 @@ def expansion_sweep(
     if not sizes:
         raise ValueError("at least one sample size is required")
     if not allow_exceptional:
-        _refuse_exceptional(
-            f,
-            ", so its image growth is degenerate; "
-            "pass allow_exceptional=True (--allow-exceptional) to sweep it anyway",
-        )
+        closing = ", so its image growth is degenerate; pass allow_exceptional=True"
+        _require_non_exceptional(f, closing + " (--allow-exceptional) to sweep it anyway")
     samples: dict[int, RationalSet] = {}
     for n in sizes:
         if n < 1:

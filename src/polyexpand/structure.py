@@ -8,8 +8,8 @@ geometric-progression boxes g1^[H1] * ... * gr^[Hr] and their dilates as int
 keys over one scale (building no Fraction, and holding each box to the
 element cap of the pair budget), and evaluates the explicit unit-equation
 bound of Amoroso and Viada. Its solver of the 2x2 exponent systems that
-make monomial values determine their arguments stays: it is the tests'
-reference for the injectivity audit, and bench/tracing.py binds it by name.
+make monomial values determine their arguments stays, because
+bench/tracing.py binds it by name; no audit and no test oracle calls it.
 """
 
 import math

@@ -69,22 +69,6 @@ def exponent_row(v: Fraction) -> list[int]:
     return row
 
 
-def gaussian_rank(rows: list[list[int]]) -> int:
-    """The rank of an integer matrix, by Gaussian elimination over Fractions."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(PRIMES)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / rows[rank][col]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def audit_rows(f, a) -> tuple[list, list, int, bool]:
     """The full and the short audit tables as (value, clean, dirty) rows of Fractions, the
     report's clean solutions of f = 0, and whether the two reports agree off the table."""
@@ -134,7 +118,7 @@ def check_case(rng: random.Random) -> tuple[str, dict, object, object] | None:
         ("ladder_sizes", lambda: ladder_sizes(f, ladder),
          lambda: [len(reference.image_values(f, s)) for s in ladder]),
         ("multiplicative_rank", lambda: multiplicative_rank(a),
-         lambda: gaussian_rank([exponent_row(v) for v in a])),
+         lambda: reference.gauss_rank([exponent_row(v) for v in a])),
         ("RationalSet", rational_set,
          lambda: (True, d, tuple(v.numerator * (d // v.denominator) for v in fractions),
                   tuple, tuple(fractions))),

@@ -19,6 +19,11 @@ from polyexpand import (
 )
 
 
+def dyadic(n: int) -> RationalSet:
+    """The powers 2, 4, ..., 2^n."""
+    return make_set([Fraction(2) ** k for k in range(1, n + 1)])
+
+
 def random_fraction(
     rng: random.Random,
     max_numerator: int = 9,

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import reference
 from genutil import (
+    dyadic,
     random_ggp,
     random_monomial,
     random_nonexceptional_poly,
@@ -36,10 +37,6 @@ from polyexpand import (
     parse_poly,
     productset,
 )
-
-
-def dyadic(n):
-    return make_set([Fraction(2) ** k for k in range(1, n + 1)])
 
 
 def _report(number, ok, detail):
@@ -234,14 +231,13 @@ def test_criterion_8_injectivity_audit():
             g = random_ggp(rng, max_rank=3, max_dim=3)
             if g.box_size(t) <= 10_000 and distinctness_check(g, t):
                 break
-        # audit_injectivity compares value pairs; reference.injective also
-        # recovers every pair with solve_exponent_system
+        # audit_injectivity compares int value pairs; reference.injective Fraction ones
         assert audit_injectivity(f, g, t)
         assert reference.injective(f, g)
         passed += 1
     elapsed = time.perf_counter() - start
     ok = passed == 20 and elapsed < 60.0
-    _report(8, ok, f"{passed}/20 boxes injective, solver agrees in the reference, "
+    _report(8, ok, f"{passed}/20 boxes injective, the reference agrees, "
                f"{elapsed:.2f}s (< 60s)")
     assert ok
 

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genutil import (
     all_monomials,
+    dyadic,
     random_fraction,
     random_ggp,
     random_nonexceptional_poly,
@@ -22,9 +23,11 @@ from polyexpand import (
     FileFamily,
     GeometricFamily,
     GGPFamily,
+    UnivariatePoly,
     audit_injectivity,
     audit_vanishing_subsums,
     cauchy_schwarz_check,
+    classify_monomial_composition,
     expansion_sweep,
     make_set,
     multiplicity_histogram,
@@ -34,11 +37,8 @@ from polyexpand import (
     value_multiplicities,
 )
 from polyexpand import sets as sets_module
-from reference import evaluate
-
-
-def dyadic(n):
-    return make_set([Fraction(2) ** k for k in range(1, n + 1)])
+from polyexpand.polynomials import format_monomial
+from reference import compose, evaluate
 
 
 def split_row(f, a, value):
@@ -329,6 +329,45 @@ def test_parse_family():
 def test_sweep_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         expansion_sweep(parse_poly("0"), GeometricFamily(Fraction(2)), [4])
+
+
+# g(x^a y^b) for a g that may be constant or 0, and a monomial that may be 1
+composed_polys = st.builds(
+    lambda coefficients, monomial: compose(UnivariatePoly(coefficients), monomial),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=1, max_size=4),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+drawn_polys = st.integers(0, 2**32).map(lambda seed: random_poly(random.Random(seed)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), composed_polys, drawn_polys)
+@example(True, parse_poly("0"), parse_poly("x"))
+def test_every_entry_point_refuses_zero_and_exactly_the_exceptional_shape(composed, g_of_m, drawn):
+    f = g_of_m if composed else drawn
+    box = GGP((Fraction(2), Fraction(3)), (2, 2))
+    entry_points = [
+        lambda: audit_vanishing_subsums(f, make_set([2, 3])),
+        lambda: audit_injectivity(f, box, 1),
+        lambda: expansion_sweep(f, GeometricFamily(2), [2]),
+    ]
+    if f.is_zero:
+        for call in [*entry_points, lambda: cauchy_schwarz_check(f, make_set([2, 3]))]:
+            with pytest.raises(ValueError) as refusal:
+                call()
+            assert refusal.type is ValueError
+            assert str(refusal.value) == "the zero polynomial is not accepted here"
+        return
+    shape = classify_monomial_composition(f)
+    for call in entry_points:
+        if shape is None:
+            call()
+        else:
+            with pytest.raises(ExceptionalPolynomialError) as refusal:
+                call()
+            assert str(refusal.value).startswith(
+                f"f = {f} equals g({format_monomial(shape.monomial)}) with g(t) = {shape.g}"
+            )
 
 
 def test_sweep_determinism():

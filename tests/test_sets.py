@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genutil import random_poly, random_set, run_python_with_two_cpu_seconds
+from genutil import dyadic, random_poly, random_set, run_python_with_two_cpu_seconds
 from polyexpand import (
     CapExceeded,
     RationalParseError,
@@ -33,10 +33,6 @@ from reference import evaluate
 
 
 SUM = parse_poly("x + y")  # the sumset A + B is the image of x + y
-
-
-def dyadic(n):
-    return make_set([Fraction(2) ** k for k in range(1, n + 1)])
 
 
 # Independent oracles: plain double/quadruple loops over evaluated pairs.

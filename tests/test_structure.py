@@ -25,24 +25,6 @@ from polyexpand import (
 )
 
 
-def gauss_rank(matrix):
-    """Rank over the rationals by plain Gaussian elimination."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                scale = rows[i][col] / lead
-                rows[i] = [a - scale * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 # Small primes, plus primes above 10^6 that only gcds (not trial division to
 # 10^6) can separate once they sit inside composites.
 PRIME_POOL = (
@@ -119,7 +101,7 @@ def test_rank_matches_exponent_matrix_over_prime_pool():
                 value *= Fraction(prime) ** exp
             elements.append(value)
         # duplicate rows collapse in the set; the rank of the distinct ones is the same
-        assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix), matrix
+        assert multiplicative_rank(make_set(elements)) == reference.gauss_rank(matrix), matrix
 
 
 def test_rank_eliminates_over_the_shorter_side():
@@ -129,7 +111,7 @@ def test_rank_eliminates_over_the_shorter_side():
     wide = [[1, 2, 0, 1, 0, 3], [0, 1, -1, 0, 2, 0], [1, 3, -1, 1, 2, 3]]
     for matrix, primes, rank in ((tall, (2, 3), 2), (wide, (2, 3, 5, 7, 11, 13), 2)):
         elements = [math.prod(Fraction(p) ** e for p, e in zip(primes, row)) for row in matrix]
-        assert multiplicative_rank(make_set(elements)) == gauss_rank(matrix) == rank
+        assert multiplicative_rank(make_set(elements)) == reference.gauss_rank(matrix) == rank
 
 
 @pytest.mark.parametrize(
@@ -193,10 +175,10 @@ def test_integer_rank_matches_gauss_oracle():
         matrix = [
             [rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)
         ]
-        assert _integer_rank(matrix) == gauss_rank(matrix), matrix
+        assert _integer_rank(matrix) == reference.gauss_rank(matrix), matrix
     # rank-deficient products of a thin matrix are a classic trap
     base = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 2, 5]]
-    assert _integer_rank(base) == gauss_rank(base) == 2
+    assert _integer_rank(base) == reference.gauss_rank(base) == 2
 
 
 @st.composite
@@ -229,7 +211,7 @@ def integer_matrices(draw):
 def test_integer_rank_matches_gauss_on_dense_and_deficient_matrices(matrix):
     from polyexpand.structure import _integer_rank
 
-    assert _integer_rank(matrix) == gauss_rank(matrix)
+    assert _integer_rank(matrix) == reference.gauss_rank(matrix)
 
 
 def test_integer_rank_of_a_dense_60_by_60_matrix_plus_a_dependent_row():
